@@ -16,14 +16,6 @@
 // follow the same parameter trajectory, so their final losses must agree to
 // 1e-9; the acceptance floor for the epoch speedup is 4x.
 //
-// Section 3 — queue contention: N external submitter threads firing tiny
-// tasks at a 4-worker pool, tasks/s end-to-end, work-stealing scheduler vs
-// the retired single-mutex queue (reference copy in bench_common.cpp).  The
-// acceptance target is >= 2x at 8 submitters on multi-core hardware; on a
-// hardware-bound host (single core: every thread timeslices one CPU, so
-// submitters and workers cannot actually contend in parallel) the measured
-// ratio is reported and committed instead of gated.
-//
 // --json writes the measurements as a small JSON document (CI artifact;
 // scripts/bench-compare.py diffs it against bench/baselines/).
 
@@ -34,10 +26,8 @@
 #include <cstring>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "core/bellamy_model.hpp"
 #include "core/trainer.hpp"
 #include "data/c3o_generator.hpp"
@@ -220,10 +210,8 @@ EpochResult bench_epochs(const std::vector<data::JobRun>& runs, std::size_t epoc
 }
 
 void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
-                const std::vector<ThreadedGemmResult>& threaded,
-                const std::vector<bench::PoolContentionCell>& contention,
-                const EpochResult& epoch, std::size_t num_runs, std::size_t epochs,
-                std::size_t batch_size) {
+                const std::vector<ThreadedGemmResult>& threaded, const EpochResult& epoch,
+                std::size_t num_runs, std::size_t epochs, std::size_t batch_size) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -249,9 +237,7 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
                  t.threaded_s[2] * 1e3, t.speedup_t8(), t.identical ? "true" : "false",
                  i + 1 < threaded.size() ? "," : "");
   }
-  std::fprintf(f, "  },\n  ");
-  bench::write_pool_contention_json(f, contention);
-  std::fprintf(f, ",\n");
+  std::fprintf(f, "  },\n");
   std::fprintf(f,
                "  \"pretrain_epoch\": {\"runs\": %zu, \"epochs\": %zu, \"batch_size\": %zu, "
                "\"per_sample_ms\": %.2f, \"batched_ms\": %.2f, \"speedup\": %.2f, "
@@ -338,27 +324,10 @@ int main(int argc, char** argv) {
               epoch.per_sample_loss, epoch.batched_loss, epoch.loss_diff());
 
   const bool losses_match = epoch.loss_diff() <= 1e-9;
-  std::printf("losses match to 1e-9: %s\n\n", losses_match ? "yes" : "NO");
-
-  // ---- Section 3: queue contention, work-stealing vs mutex queue -----------
-  const std::vector<bench::PoolContentionCell> contention =
-      bench::pool_contention_grid(/*workers=*/4, {1, 4, 8}, /*tasks_per_submitter=*/20000);
-  std::printf("queue contention (4 workers, tiny tasks, tasks/s first-submit to drained)\n");
-  std::printf("%-11s %10s %14s %14s %10s\n", "submitters", "tasks", "stealing/s",
-              "mutex-q/s", "speedup");
-  for (const auto& c : contention) {
-    std::printf("%-11zu %10zu %14.0f %14.0f %9.2fx\n", c.submitters, c.tasks,
-                c.ws_tasks_per_s, c.mutex_tasks_per_s, c.speedup());
-  }
-  std::printf(
-      "8-submitter target: >=2x on multi-core; on a single-core host the ratio is\n"
-      "hardware-bound (submitters and workers timeshare one CPU) and is reported,\n"
-      "not gated.  hardware_concurrency here: %u\n",
-      std::thread::hardware_concurrency());
+  std::printf("losses match to 1e-9: %s\n", losses_match ? "yes" : "NO");
 
   if (!json_path.empty()) {
-    write_json(json_path, gemms, threaded, contention, epoch, runs.size(), epochs,
-               kBatchSize);
+    write_json(json_path, gemms, threaded, epoch, runs.size(), epochs, kBatchSize);
   }
   return (losses_match && threaded_identical) ? 0 : 1;
 }

@@ -406,9 +406,9 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   // (the B=4096 dip), so they are split into contiguous chunks across the
   // global ThreadPool.  Every output row's arithmetic is independent of the
   // batch it rides in and every chunk writes a disjoint output range, so
-  // the chunked result is bit-identical under any schedule the
-  // work-stealing pool picks (chunks only need to run exactly once, and
-  // the caller's helping wait assembles them in submission order).
+  // the chunked result is bit-identical under any schedule the pool picks
+  // (chunks only need to run exactly once, and the caller's helping wait
+  // assembles them in submission order).
   if (predict_chunk_threshold_ > 0 && runs.size() >= predict_chunk_threshold_ &&
       parallel::ThreadPool::global().size() > 1) {
     return predict_batch_chunked(runs);

@@ -450,9 +450,9 @@ void gemm_blocked(std::size_t k, const double* a, std::size_t lda, const double*
 // on tile boundaries and every C tile is written by exactly one task with
 // the k-accumulation order unchanged, so the threaded product is
 // bit-identical to the serial one.  This relies ONLY on the pool's
-// exactly-once contract, never on execution order — the work-stealing
-// scheduler may run panel tasks in any interleaving (LIFO on the
-// submitter's deque, stolen FIFO elsewhere) and the product cannot tell.
+// exactly-once contract and the caller's helping wait, never on execution
+// order: panel tasks may run in any interleaving, on any worker or on the
+// waiting thread, and the product cannot tell.
 // Small products (under the flop threshold) stay serial — the fork/join
 // overhead would dominate.
 

@@ -11,18 +11,15 @@
 // Nested use is supported: called from a worker of the SAME pool, the caller
 // helps drain the pool while it waits (running its own share — and anything
 // else claimable — inline), so nested fan-out can never deadlock and still
-// uses every worker.  Under the work-stealing scheduler a nested call's
-// chunks land on the calling worker's own deque and are popped LIFO by the
-// helping loop (or stolen by idle peers), so the nested loop's work stays
-// cache-local without any change here.  The chunking still sees the pool's
-// full worker count, so callers that size work by pool.size() (e.g. the
-// GEMM panel split) behave identically at any nesting depth.
+// uses every worker.  The chunking still sees the pool's full worker count,
+// so callers that size work by pool.size() (e.g. the GEMM panel split)
+// behave identically at any nesting depth.
 //
 // Determinism note: the pool promises exactly-once execution, not order.
 // parallel_for writes disjoint indices, parallel_map/parallel_reduce write
 // disjoint slots and combine them in SUBMISSION order on the waiting
 // thread — which is why their results are bit-identical to the serial loop
-// at any worker count and under any steal schedule (stress-checked in
+// at any worker count and under any interleaving (stress-checked in
 // tests/parallel/test_pool_stress.cpp).
 
 #include <chrono>

@@ -86,11 +86,9 @@ void Strand::wait_idle() {
   }
   if (pool_.owns_current_thread()) {
     // Called from a pool worker: parking would let strand work queued BEHIND
-    // this worker's slot deadlock the wait.  Help the pool instead.  Under
-    // the work-stealing scheduler the drainer task this wait depends on may
-    // sit in ANY worker's deque or injection stripe; try_run_pending_task
-    // claims across all of them (own pop, stripe scan, steal round), so the
-    // helping loop reaches it no matter where the post() landed.
+    // this worker's slot deadlock the wait.  Help the pool instead: the
+    // drainer task this wait depends on is either running on another
+    // thread or still queued, where try_run_pending_task can claim it.
     for (;;) {
       {
         std::lock_guard<std::mutex> lock(mutex_);

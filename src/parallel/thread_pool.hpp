@@ -1,33 +1,24 @@
 #pragma once
-// Work-stealing thread pool.
+// Fixed-size thread pool with one shared task queue.
 //
-// Every worker owns a Chase–Lev deque (work_stealing_deque.hpp): a task
-// submitted FROM a pool worker is pushed lock-free onto that worker's own
-// deque (LIFO for the owner — nested parallel_for chunks stay cache-hot),
-// and idle workers steal from the top (FIFO — oldest work first).  Tasks
-// submitted from OUTSIDE the pool land in a small set of mutex-striped
-// injection queues; the stripe mutex is uncontended in the common case and
-// external submitters never touch the workers' deques.
-//
-// Sleep/wake uses an eventcount-style protocol (see thread_pool.cpp): the
-// fast path — submit with every worker busy, or a worker finding work —
-// takes no lock and makes no syscall.  The evaluation harness fans out
-// independent cross-validation splits and hyper-parameter trials over this
-// pool (the paper used Ray Tune for the same purpose); threaded GEMM, the
-// chunked batch predictor, refit Strands, and the serve dispatcher all
-// share it.  Exceptions thrown by tasks are captured and rethrown to the
+// One mutex guards one FIFO of type-erased tasks; workers park on a work
+// condition variable, and wait_idle() parks on an idle one.  The evaluation
+// harness fans out independent cross-validation splits and hyper-parameter
+// trials over this pool (the paper used Ray Tune for the same purpose), and
+// threaded GEMM, the chunked batch predictor and the refit Strands submit to
+// it too.  The serve dispatcher does not: PredictionService runs its own
+// threads.  Exceptions thrown by tasks are captured and rethrown to the
 // caller via the returned std::future.
 //
-// Scheduling freedom vs determinism: the pool makes NO ordering promise
-// between tasks — only that each runs exactly once.  Bit-identical results
-// (threaded GEMM, chunked predict, parallel_reduce) come from the CALLERS
-// writing disjoint output slots and combining them in submission order, so
-// they hold under any interleaving this scheduler can produce.
+// Determinism: the pool promises that each task runs exactly once, never an
+// order between tasks.  Bit-identical results (threaded GEMM, chunked
+// predict, parallel_reduce) come from the CALLERS writing disjoint output
+// slots and combining them in submission order, so they hold under any
+// interleaving of workers and helping threads.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
+#include <deque>
 #include <functional>
 #include <future>
 #include <memory>
@@ -67,9 +58,11 @@ class ThreadPool {
   /// Block until all currently queued and running tasks finish — including
   /// tasks they spawn before the pending count reaches zero, and tasks a
   /// helping thread claimed via try_run_pending_task but has not finished
-  /// (the count covers claimed-but-running work, not just the queues).
-  /// Called from a worker of THIS pool it helps (drains tasks inline)
-  /// instead of parking, so it is deadlock-free at any nesting depth.
+  /// (the count covers claimed-but-running work, not just the queue).
+  /// Called from one of THIS pool's workers, i.e. from inside one of its
+  /// tasks, it drains queued tasks inline instead of parking, but it cannot
+  /// return: the calling task itself counts as pending.  Code inside the
+  /// pool waits on its own futures instead (see try_run_pending_task).
   void wait_idle();
 
   /// True when called from one of THIS pool's worker threads.  Code that
@@ -79,19 +72,13 @@ class ThreadPool {
   /// worker is left to run.
   bool owns_current_thread() const;
 
-  /// Pop and execute one task on the calling thread, if any can be claimed.
-  /// Returns false when nothing was claimable.  A pool worker drains its own
-  /// deque first, then the injection stripes, then steals; any other thread
-  /// acts as a pure thief (injection stripes, then steals).  This is the
+  /// Pop and execute one queued task on the calling thread, if any.  Returns
+  /// false when the queue was empty.  Any thread may call it.  This is the
   /// helping primitive for nested fan-out: a thread that blocks on futures
   /// of this pool calls it in its wait loop, so the caller runs its share of
   /// the nested work inline and the pool can never deadlock on nested
   /// parallel_for.
   bool try_run_pending_task();
-
-  /// Queued-or-running task count right now.  Racy snapshot, for tests and
-  /// metrics only.
-  std::size_t pending_approx() const;
 
   /// Process-wide default pool (lazily constructed, hardware concurrency).
   static ThreadPool& global();
@@ -99,39 +86,22 @@ class ThreadPool {
  private:
   using Task = std::function<void()>;
 
-  struct Worker;        // per-worker deque + steal cursor (thread_pool.cpp)
-  struct InjectStripe;  // mutex + FIFO for external submitters
-
-  /// Type-erased submit: routes to the caller's own deque (pool workers) or
-  /// an injection stripe (external threads), then wakes a sleeper if any.
+  /// Type-erased submit: append to the queue and wake one worker.
   void enqueue(Task task);
 
-  /// Claim one task: own deque (self >= 0), injection stripes, then steal a
-  /// round over the other workers.  Decrements queued_ on success.
-  Task* claim_task(std::ptrdiff_t self);
+  /// Run a claimed task, then retire it from pending_ (waking idle waiters
+  /// when it was the last one).
+  void run(Task& task);
 
-  /// Run a claimed task, retire it, and publish idleness when it was the
-  /// last pending one.
-  void run_task(Task* task);
+  void worker_loop();
 
-  void worker_loop(std::size_t index);
-
-  std::vector<std::unique_ptr<Worker>> worker_state_;
-  std::vector<std::unique_ptr<InjectStripe>> inject_;
-  std::vector<std::thread> workers_;
-
-  // Counters (all seq_cst at the use sites: they form Dekker pairs with
-  // sleepers_/idle_waiters_ — see the protocol note in thread_pool.cpp).
-  std::atomic<std::int64_t> queued_{0};   ///< pushed but not yet claimed (upper bound)
-  std::atomic<std::int64_t> pending_{0};  ///< queued + running
-  std::atomic<int> sleepers_{0};          ///< workers parked or about to park
-  std::atomic<int> spinners_{0};          ///< 0 or 1: a worker spin-scanning for work
-  std::atomic<int> idle_waiters_{0};      ///< threads parked in wait_idle
-  std::atomic<bool> stopping_{false};
-
-  std::mutex sleep_mutex_;  ///< guards cv_/idle_cv_ park-and-check only
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
+  std::mutex mutex_;
+  std::deque<Task> tasks_;           ///< guarded by mutex_
+  std::size_t pending_ = 0;          ///< queued + running; guarded by mutex_
+  bool stopping_ = false;            ///< guarded by mutex_
+  std::condition_variable work_cv_;  ///< queue non-empty or stopping
+  std::condition_variable idle_cv_;  ///< pending_ reached zero
+  std::vector<std::thread> workers_;  // last: the workers use every member above
 };
 
 }  // namespace bellamy::parallel

@@ -1,4 +1,4 @@
-// Concurrency stress suite for the work-stealing ThreadPool (ctest labels:
+// Concurrency stress suite for the ThreadPool (ctest labels:
 // parallel + stress; the TSan CI lane runs it under -fsanitize=thread).
 //
 // The seeded soak mixes every submission path the rest of the codebase
@@ -130,8 +130,8 @@ TEST_P(PoolStress, SeededMixedSoakRunsEveryTaskExactlyOnce) {
         }
       };
 
-  // External submitters: a couple of plain threads pushing through the
-  // injection stripes while the workers generate their own recursive load.
+  // External submitters: a couple of plain threads submitting from outside
+  // the pool while the workers generate their own recursive load.
   const int submitters = 1 + static_cast<int>(rng.below(3));
   std::vector<std::thread> external;
   external.reserve(static_cast<std::size_t>(submitters));
