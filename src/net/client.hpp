@@ -150,6 +150,11 @@ class NetClient {
   /// the hook fires immediately with nullptr.
   template <typename Req>
   void send_request(Req& req, Deliver deliver);
+  /// Send `req` and resolve the returned future with the `Resp` it gets
+  /// back: transport loss, an undecodable frame and an error head each map
+  /// to a failed ServeResult, anything else to convert(resp).
+  template <typename Resp, typename Req, typename Convert>
+  auto call(Req& req, Convert convert);
   void reader_loop();
   /// How long the reader may sleep before the nearest pending deadline.
   std::chrono::milliseconds reader_wait() const;

@@ -1,7 +1,7 @@
 #pragma once
 // The Bellamy wire protocol: a versioned, typed, length-prefixed binary
-// format shared VERBATIM by client and server (one encode/decode pair per
-// message, no separate client/server schemas to drift apart).
+// format shared VERBATIM by client and server (one field layout per message,
+// no separate client/server schemas to drift apart).
 //
 // Frame layout, little-endian throughout:
 //
@@ -19,13 +19,17 @@
 // (WireStatus), never exceptions — a malformed frame from the network is an
 // expected input, not a programming error.
 //
-// One small POD-ish struct per message, each with
+// One small POD-ish struct per message, each with a `static constexpr
+// MsgType kType` and ONE layout: a `fields(msg)` overload listing its fields
+// in wire order.  A single generic codec (put / get below) walks the
+// layouts, so a field's position is written down once and encode and decode
+// cannot disagree.  Payload types nest (ModelKey, JobRun, FineTuneConfig,
+// ServeMetrics, DigestEntry, ResponseHead have layouts of their own);
+// vectors travel as a u32 count plus elements; u8 enums and bools are
+// wrapped in byte(field, max), which decode range-checks.  Cross-field rules
+// live in valid() overloads.  The frame-level helpers are encode_frame<Msg>()
+// / decode_frame<Msg>(), and read_frame() pulls one frame off a socket.
 //
-//   void encode(WireWriter&) const;
-//   static constexpr MsgType kType;
-//   WireStatus decode(WireReader&);          // payload only
-//
-// plus the frame-level helpers encode_frame<Msg>() / decode_frame<Msg>().
 // Every request carries a client-chosen request_id echoed by its response,
 // so responses may complete out of order (the PredictionService resolves
 // micro-batches whenever their lane flushes) and still correlate.
@@ -57,12 +61,17 @@
 // Models are addressed by ModelKey (job + context strings): handles are
 // process-local and never cross the wire.
 
+#include <algorithm>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
 #include "core/trainer.hpp"
+#include "core/variants.hpp"
 #include "data/record.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/prediction_service.hpp"
@@ -70,6 +79,8 @@
 #include "util/hash.hpp"
 
 namespace bellamy::net {
+
+class Socket;
 
 /// Bumped on any incompatible layout change; decode rejects mismatches with
 /// WireStatus::kVersionMismatch (never guesses).  v2: trailing FNV-1a frame
@@ -86,6 +97,11 @@ inline constexpr std::size_t kFrameHeaderBytes = 8;
 
 /// Bytes of the trailing FNV-1a 64 checksum every frame body carries.
 inline constexpr std::size_t kFrameChecksumBytes = 8;
+
+/// Cap on up-front vector reserves sized by a wire-supplied count.  Counts
+/// above this still decode fine (the vector grows normally); the cap only
+/// bounds what a HOSTILE count can allocate before element decoding fails.
+inline constexpr std::uint32_t kMaxEagerReserve = 4096;
 
 enum class MsgType : std::uint16_t {
   kPredictRequest = 1,
@@ -163,8 +179,9 @@ class WireWriter {
 
  private:
   void append(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -221,23 +238,66 @@ class WireReader {
 };
 
 // ---------------------------------------------------------------------------
-// Shared field codecs
+// Layout vocabulary
 // ---------------------------------------------------------------------------
 
-void encode_key(WireWriter& w, const serve::ModelKey& key);
-WireStatus decode_key(WireReader& r, serve::ModelKey& key);
+/// A u8 enum or bool field: one byte on the wire, and decode answers
+/// kMalformed for a value above `max` (a corrupted byte cannot smuggle an
+/// out-of-range enum into a switch).
+template <typename T>
+struct Byte {
+  using type = std::remove_const_t<T>;
+  T& field;
+  std::uint8_t max;
+};
 
-void encode_job_run(WireWriter& w, const data::JobRun& run);
-WireStatus decode_job_run(WireReader& r, data::JobRun& run);
+template <typename T, typename Max>
+Byte<T> byte(T& field, Max max) {
+  return {field, static_cast<std::uint8_t>(max)};
+}
 
-void encode_job_runs(WireWriter& w, const std::vector<data::JobRun>& runs);
-WireStatus decode_job_runs(WireReader& r, std::vector<data::JobRun>& runs);
+/// A layout: references to the fields in wire order (Byte markers by value).
+template <typename... F>
+std::tuple<F...> layout(F&&... refs) {
+  return std::tuple<F...>(std::forward<F>(refs)...);
+}
 
-void encode_finetune_config(WireWriter& w, const core::FineTuneConfig& cfg);
-WireStatus decode_finetune_config(WireReader& r, core::FineTuneConfig& cfg);
+/// `Is<T> auto& v` binds a T or a const T: one layout serves encode and decode.
+template <typename S, typename T>
+concept Is = std::same_as<std::remove_const_t<S>, T>;
 
-void encode_metrics(WireWriter& w, const serve::ServeMetrics& m);
-WireStatus decode_metrics(WireReader& r, serve::ServeMetrics& m);
+auto fields(Is<serve::ModelKey> auto& k) { return layout(k.job, k.context); }
+
+auto fields(Is<data::JobRun> auto& run) {
+  return layout(run.algorithm, run.environment, run.node_type, run.job_parameters,
+                run.dataset_size_mb, run.data_characteristics, run.memory_mb, run.cpu_cores,
+                run.scale_out, run.runtime_s);
+}
+
+/// Wire order, not declaration order: batch_size was appended last.
+auto fields(Is<core::FineTuneConfig> auto& c) {
+  return layout(c.max_epochs, c.base_lr, c.max_lr, c.lr_cycle, c.weight_decay,
+                c.mae_target_seconds, c.patience, c.seed, c.unlock_f_after,
+                byte(c.unlock_f_immediately, true), byte(c.train_autoencoder, true),
+                c.batch_size);
+}
+
+auto fields(Is<serve::ServeMetrics> auto& m) {
+  return layout(m.requests, m.responses, m.batches, m.coalesced, m.deadline_flushes,
+                m.drain_flushes, m.coalesced_requests, m.max_queue_depth, m.queue_depth,
+                m.replica_hits, m.replica_misses, m.replica_invalidations,
+                m.effective_flush_deadline_us, m.interarrival_ewma_us, m.max_dispatch_lag_us,
+                m.starved_flushes, m.latency_count, m.latency_p50_us, m.latency_p95_us,
+                m.latency_p99_us, m.drift_error_ewma, m.drift_reports, m.drift_refits,
+                m.reductions, m.reduction_runs_dropped, m.reduction_last_kept);
+}
+
+/// Cross-field decode rule, checked after a struct's fields read cleanly;
+/// false = kMalformed.  Overloaded for the few types that have one.
+template <typename T>
+bool valid(const T&) {
+  return true;
+}
 
 // ---------------------------------------------------------------------------
 // Exchange-layer value types
@@ -252,6 +312,8 @@ struct DigestEntry {
   serve::ModelKey key;
   std::uint64_t stamp = 0;
 };
+auto fields(Is<DigestEntry> auto& e) { return layout(e.key, e.stamp); }
+inline bool valid(const DigestEntry& e) { return e.stamp != 0; }
 
 /// A checkpoint pulled off a peer: the catalog stamp it was advertised under
 /// plus the exact nn::Checkpoint text (hex-float, the ModelStore on-disk
@@ -260,9 +322,6 @@ struct PulledCheckpoint {
   std::uint64_t stamp = 0;
   std::string checkpoint_text;
 };
-
-void encode_digest_entries(WireWriter& w, const std::vector<DigestEntry>& entries);
-WireStatus decode_digest_entries(WireReader& r, std::vector<DigestEntry>& entries);
 
 // ---------------------------------------------------------------------------
 // Messages — requests
@@ -273,20 +332,16 @@ struct PredictRequest {
   std::uint64_t request_id = 0;
   serve::ModelKey key;
   data::JobRun query;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PredictRequest> auto& m) { return layout(m.request_id, m.key, m.query); }
 
 struct PredictManyRequest {
   static constexpr MsgType kType = MsgType::kPredictManyRequest;
   std::uint64_t request_id = 0;
   serve::ModelKey key;
   std::vector<data::JobRun> queries;  ///< zero-length batches are legal
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PredictManyRequest> auto& m) { return layout(m.request_id, m.key, m.queries); }
 
 struct PublishRequest {
   static constexpr MsgType kType = MsgType::kPublishRequest;
@@ -296,10 +351,10 @@ struct PublishRequest {
   /// the same bytes a store would hold, so publish-over-wire and
   /// open-from-store install bit-identical models.
   std::string checkpoint_text;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PublishRequest> auto& m) {
+  return layout(m.request_id, m.key, m.checkpoint_text);
+}
 
 struct RefitAsyncRequest {
   static constexpr MsgType kType = MsgType::kRefitAsyncRequest;
@@ -308,19 +363,18 @@ struct RefitAsyncRequest {
   std::vector<data::JobRun> runs;  ///< empty = direct reuse (reset to base)
   core::FineTuneConfig config;
   std::uint8_t strategy = 0;  ///< core::ReuseStrategy, validated on decode
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<RefitAsyncRequest> auto& m) {
+  return layout(m.request_id, m.key, m.runs, m.config,
+                byte(m.strategy, core::ReuseStrategy::kFullReset));
+}
 
 struct MetricsRequest {
   static constexpr MsgType kType = MsgType::kMetricsRequest;
   std::uint64_t request_id = 0;
   serve::ModelKey key;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<MetricsRequest> auto& m) { return layout(m.request_id, m.key); }
 
 struct SetQosRequest {
   static constexpr MsgType kType = MsgType::kSetQosRequest;
@@ -329,27 +383,24 @@ struct SetQosRequest {
   std::uint8_t qos_class = 0;  ///< serve::QosClass, validated on decode
   double weight = 1.0;
   std::uint64_t max_lag_us = 0;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<SetQosRequest> auto& m) {
+  return layout(m.request_id, m.key, byte(m.qos_class, serve::QosClass::kBulk), m.weight,
+                m.max_lag_us);
+}
 
 struct EraseRequest {
   static constexpr MsgType kType = MsgType::kEraseRequest;
   std::uint64_t request_id = 0;
   serve::ModelKey key;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<EraseRequest> auto& m) { return layout(m.request_id, m.key); }
 
 struct DrainRequest {
   static constexpr MsgType kType = MsgType::kDrainRequest;
   std::uint64_t request_id = 0;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<DrainRequest> auto& m) { return layout(m.request_id); }
 
 /// Peer gossip, fire-and-forget semantics: "my catalog currently looks like
 /// this".  The receiver compares stamps and schedules pulls for anything
@@ -358,29 +409,23 @@ struct AdvertiseRequest {
   static constexpr MsgType kType = MsgType::kAdvertiseRequest;
   std::uint64_t request_id = 0;
   std::vector<DigestEntry> entries;  ///< empty catalogs are legal
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<AdvertiseRequest> auto& m) { return layout(m.request_id, m.entries); }
 
 /// Ask a peer for its full catalog (the poll half of anti-entropy).
 struct DigestRequest {
   static constexpr MsgType kType = MsgType::kDigestRequest;
   std::uint64_t request_id = 0;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<DigestRequest> auto& m) { return layout(m.request_id); }
 
 /// Fetch one checkpoint by key.
 struct PullRequest {
   static constexpr MsgType kType = MsgType::kPullRequest;
   std::uint64_t request_id = 0;
   serve::ModelKey key;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PullRequest> auto& m) { return layout(m.request_id, m.key); }
 
 /// Report an OBSERVED run (query + measured runtime) back to the server:
 /// the drift monitor compares it against the model's own prediction, feeds
@@ -390,10 +435,8 @@ struct ReportRunRequest {
   std::uint64_t request_id = 0;
   serve::ModelKey key;
   data::JobRun run;  ///< run.runtime_s is the ground-truth observation
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<ReportRunRequest> auto& m) { return layout(m.request_id, m.key, m.run); }
 
 // ---------------------------------------------------------------------------
 // Messages — responses.  Every response leads with (request_id, status,
@@ -407,35 +450,30 @@ struct ResponseHead {
   std::string message;
 
   bool ok() const { return status == serve::ServeStatus::kOk; }
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<ResponseHead> auto& h) {
+  return layout(h.request_id, byte(h.status, serve::ServeStatus::kTimeout), h.message);
+}
 
 struct PredictResponse {
   static constexpr MsgType kType = MsgType::kPredictResponse;
   ResponseHead head;
   double value = 0.0;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PredictResponse> auto& m) { return layout(m.head, m.value); }
 
 struct PredictManyResponse {
   static constexpr MsgType kType = MsgType::kPredictManyResponse;
   ResponseHead head;
   std::vector<double> values;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PredictManyResponse> auto& m) { return layout(m.head, m.values); }
 
 struct PublishResponse {
   static constexpr MsgType kType = MsgType::kPublishResponse;
   ResponseHead head;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PublishResponse> auto& m) { return layout(m.head); }
 
 struct RefitResponse {
   static constexpr MsgType kType = MsgType::kRefitResponse;
@@ -444,60 +482,49 @@ struct RefitResponse {
   double best_mae_seconds = 0.0;
   std::uint8_t reached_target = 0;
   double fit_seconds = 0.0;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<RefitResponse> auto& m) {
+  return layout(m.head, m.epochs_run, m.best_mae_seconds, byte(m.reached_target, 1),
+                m.fit_seconds);
+}
 
 struct MetricsResponse {
   static constexpr MsgType kType = MsgType::kMetricsResponse;
   ResponseHead head;
   serve::ServeMetrics metrics;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<MetricsResponse> auto& m) { return layout(m.head, m.metrics); }
 
 struct SetQosResponse {
   static constexpr MsgType kType = MsgType::kSetQosResponse;
   ResponseHead head;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<SetQosResponse> auto& m) { return layout(m.head); }
 
 struct EraseResponse {
   static constexpr MsgType kType = MsgType::kEraseResponse;
   ResponseHead head;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<EraseResponse> auto& m) { return layout(m.head); }
 
 struct DrainResponse {
   static constexpr MsgType kType = MsgType::kDrainResponse;
   ResponseHead head;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<DrainResponse> auto& m) { return layout(m.head); }
 
 struct AdvertiseResponse {
   static constexpr MsgType kType = MsgType::kAdvertiseResponse;
   ResponseHead head;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<AdvertiseResponse> auto& m) { return layout(m.head); }
 
 struct DigestResponse {
   static constexpr MsgType kType = MsgType::kDigestResponse;
   ResponseHead head;
   std::vector<DigestEntry> entries;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<DigestResponse> auto& m) { return layout(m.head, m.entries); }
 
 struct PullResponse {
   static constexpr MsgType kType = MsgType::kPullResponse;
@@ -506,10 +533,11 @@ struct PullResponse {
   /// successful pull the stamp must be non-zero (kMalformed otherwise).
   std::uint64_t stamp = 0;
   std::string checkpoint_text;
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<PullResponse> auto& m) { return layout(m.head, m.stamp, m.checkpoint_text); }
+/// Error responses leave the payload zeroed; a successful pull must carry a
+/// real catalog stamp.
+inline bool valid(const PullResponse& m) { return !m.head.ok() || m.stamp != 0; }
 
 /// What the drift monitor knew right after folding the reported run in.
 struct ReportRunResponse {
@@ -518,10 +546,115 @@ struct ReportRunResponse {
   double error_ewma = 0.0;          ///< relative-error EWMA after this report
   std::uint64_t reports = 0;        ///< runs reported for this handle so far
   std::uint8_t refit_triggered = 0; ///< this report crossed the drift threshold
-
-  void encode(WireWriter& w) const;
-  WireStatus decode(WireReader& r);
 };
+auto fields(Is<ReportRunResponse> auto& m) {
+  return layout(m.head, m.error_ewma, m.reports, byte(m.refit_triggered, 1));
+}
+
+/// Every message type on the wire; is_known_type() derives from it.
+using Catalog =
+    std::tuple<PredictRequest, PredictManyRequest, PublishRequest, RefitAsyncRequest,
+               MetricsRequest, SetQosRequest, EraseRequest, DrainRequest, AdvertiseRequest,
+               DigestRequest, PullRequest, ReportRunRequest, PredictResponse,
+               PredictManyResponse, PublishResponse, RefitResponse, MetricsResponse,
+               SetQosResponse, EraseResponse, DrainResponse, AdvertiseResponse, DigestResponse,
+               PullResponse, ReportRunResponse>;
+
+// ---------------------------------------------------------------------------
+// The codec: one encoder and one decoder walk every layout
+// ---------------------------------------------------------------------------
+
+namespace detail {
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T>
+inline constexpr bool kIsVector<std::vector<T>> = true;
+
+template <typename T>
+inline constexpr bool kIsByte = false;
+template <typename T>
+inline constexpr bool kIsByte<Byte<T>> = true;
+
+/// u64 on the wire: std::uint64_t and std::size_t fields alike.
+template <typename T>
+concept WireU64 = std::unsigned_integral<T> && sizeof(T) == 8;
+}  // namespace detail
+
+/// Encode one value: a primitive, a Byte, a vector, or a struct by its layout.
+template <typename T>
+void put(WireWriter& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    w.str(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(v);
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    w.i32(v);
+  } else if constexpr (detail::WireU64<T>) {
+    w.u64(v);
+  } else if constexpr (detail::kIsByte<T>) {
+    w.u8(static_cast<std::uint8_t>(v.field));
+  } else if constexpr (detail::kIsVector<T>) {
+    w.u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& element : v) put(w, element);
+  } else {
+    std::apply([&](const auto&... field) { (put(w, field), ...); }, fields(v));
+  }
+}
+
+/// Decode one value.  A short read is kTruncated at once; a struct reads all
+/// its fields before range-checking its Byte fields and then valid(), so a
+/// frame both truncated and out of range reports kTruncated.  Vectors stop
+/// at the first failed element.
+template <typename T>
+WireStatus get(WireReader& r, T& v) {
+  const auto read = [](bool ok) { return ok ? WireStatus::kOk : WireStatus::kTruncated; };
+  if constexpr (std::is_same_v<T, std::string>) {
+    return read(r.str(v));
+  } else if constexpr (std::is_same_v<T, double>) {
+    return read(r.f64(v));
+  } else if constexpr (std::is_same_v<T, std::int32_t>) {
+    return read(r.i32(v));
+  } else if constexpr (detail::WireU64<T>) {
+    std::uint64_t raw = 0;
+    if (!r.u64(raw)) return WireStatus::kTruncated;
+    v = static_cast<T>(raw);
+    return WireStatus::kOk;
+  } else if constexpr (detail::kIsVector<T>) {
+    std::uint32_t count = 0;
+    if (!r.u32(count)) return WireStatus::kTruncated;
+    v.clear();
+    v.reserve(std::min(count, kMaxEagerReserve));
+    for (std::uint32_t i = 0; i < count; ++i) {
+      typename T::value_type element{};
+      const WireStatus status = get(r, element);
+      if (status != WireStatus::kOk) return status;
+      v.push_back(std::move(element));
+    }
+    return WireStatus::kOk;
+  } else {
+    WireStatus status = WireStatus::kOk;
+    bool in_range = true;
+    const auto one = [&](auto&& field) {
+      using F = std::remove_cvref_t<decltype(field)>;
+      if constexpr (detail::kIsByte<F>) {
+        std::uint8_t raw = 0;
+        if (!r.u8(raw)) {
+          status = WireStatus::kTruncated;
+        } else if (raw > field.max) {
+          in_range = false;
+        } else {
+          field.field = static_cast<typename F::type>(raw);
+        }
+      } else {
+        status = get(r, field);
+      }
+      return status == WireStatus::kOk;
+    };
+    std::apply([&](auto&&... field) { return (one(field) && ...); }, fields(v));
+    if (status != WireStatus::kOk) return status;
+    return in_range && valid(v) ? WireStatus::kOk : WireStatus::kMalformed;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Frame assembly / parsing
@@ -539,16 +672,14 @@ struct FrameView {
 /// FNV-1a checksum over version + type + payload).
 template <typename Msg>
 std::vector<std::uint8_t> encode_frame(const Msg& msg) {
-  WireWriter payload;
-  msg.encode(payload);
-  WireWriter out;
-  out.u32(static_cast<std::uint32_t>(payload.size() + 4 +  // + version + type
-                                     kFrameChecksumBytes));
-  out.u16(kWireVersion);
-  out.u16(static_cast<std::uint16_t>(Msg::kType));
-  std::vector<std::uint8_t> frame = out.take();
-  const std::vector<std::uint8_t>& body = payload.bytes();
-  frame.insert(frame.end(), body.begin(), body.end());
+  WireWriter w;
+  w.u32(0);  // length prefix, patched once the payload size is known
+  w.u16(kWireVersion);
+  w.u16(static_cast<std::uint16_t>(Msg::kType));
+  put(w, msg);
+  std::vector<std::uint8_t> frame = w.take();
+  const auto len = static_cast<std::uint32_t>(frame.size() - 4 + kFrameChecksumBytes);
+  std::memcpy(frame.data(), &len, sizeof len);
   const std::uint64_t sum = util::fnv1a64_bytes(frame.data() + 4, frame.size() - 4);
   const std::size_t at = frame.size();
   frame.resize(at + kFrameChecksumBytes);
@@ -572,7 +703,7 @@ template <typename Msg>
 WireStatus decode_message(const FrameView& frame, Msg& out) {
   if (frame.type != static_cast<std::uint16_t>(Msg::kType)) return WireStatus::kWrongType;
   WireReader r(frame.payload, frame.payload_size);
-  const WireStatus status = out.decode(r);
+  const WireStatus status = get(r, out);
   if (status != WireStatus::kOk) return status;
   if (!r.ok()) return WireStatus::kTruncated;
   if (r.remaining() != 0) return WireStatus::kTrailingBytes;
@@ -587,5 +718,28 @@ WireStatus decode_frame(const std::uint8_t* data, std::size_t size, Msg& out) {
   if (status != WireStatus::kOk) return status;
   return decode_message(frame, out);
 }
+
+// ---------------------------------------------------------------------------
+// Frame I/O
+// ---------------------------------------------------------------------------
+
+/// Outcome of read_frame().
+enum class FrameRead : std::uint8_t {
+  kOk,
+  kClosed,     ///< EOF, reset, or local shutdown before the frame completed
+  kTimeout,    ///< the socket's read stall budget elapsed mid-frame
+  kBadLength,  ///< length prefix below version + type or above kMaxFrameBytes
+};
+
+/// Buffer growth step of read_frame(): larger than every frame the tree
+/// sends today (checkpoints are ~25 KB), so a normal frame is one read.
+inline constexpr std::size_t kFrameReadStep = 64u << 10;
+
+/// Read one frame off `sock`: the u32 length prefix, then its `len` body
+/// bytes (version + type + payload + checksum) into `body`, for
+/// parse_body().  The buffer grows in kFrameReadStep steps as bytes arrive,
+/// so a bare prefix announcing kMaxFrameBytes costs one step of memory, not
+/// the announced size.
+FrameRead read_frame(const Socket& sock, std::vector<std::uint8_t>& body);
 
 }  // namespace bellamy::net

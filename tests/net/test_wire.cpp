@@ -3,16 +3,24 @@
 // class of hostile input (truncation at EVERY prefix length, version skew,
 // unknown/wrong types, trailing bytes, oversized frames, out-of-range enum
 // bytes) is rejected with the right TYPED WireStatus — never a crash, never
-// a silently wrong decode.
+// a silently wrong decode.  Golden frames pin every message's exact bytes,
+// and the catalog-wide sweeps run each hostile-input check on all of them.
 
 #include "net/wire.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <cstring>
+#include <map>
 #include <random>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
+
+#include "net/socket.hpp"
 
 namespace bellamy::net {
 namespace {
@@ -646,6 +654,458 @@ TEST(Wire, StringLengthBeyondPayloadIsTruncatedNotOverread) {
 
   MetricsRequest out;
   EXPECT_EQ(decode_frame(frame.data(), frame.size(), out), WireStatus::kTruncated);
+}
+
+// ---------------------------------------------------------------------------
+// Golden frames: the exact bytes of every catalog message
+// ---------------------------------------------------------------------------
+
+// One instance per catalog message with every field non-default and
+// distinct from its neighbours, so a dropped, swapped or re-ordered field
+// changes the bytes.
+
+serve::ModelKey golden_key(int n) {
+  return {"job-" + std::to_string(n), "ctx-" + std::to_string(n)};
+}
+
+data::JobRun golden_run(int n) {
+  data::JobRun run;
+  run.algorithm = "alg-" + std::to_string(n);
+  run.environment = "env-" + std::to_string(n);
+  run.node_type = "node-" + std::to_string(n);
+  run.job_parameters = "par-" + std::to_string(n);
+  run.dataset_size_mb = 0x1000 + n;
+  run.data_characteristics = "chr-" + std::to_string(n);
+  run.memory_mb = 0x2000 + n;
+  run.cpu_cores = 0x3000 + n;
+  run.scale_out = -7 - n;  // negative: i32 two's complement on the wire
+  run.runtime_s = 12.5 + n;
+  return run;
+}
+
+/// Checkpoint text is opaque to the wire: NUL and 0xFF bytes must survive.
+const std::string kGoldenCheckpoint("ckpt\0v1\xff\xfe end", 13);
+
+ResponseHead golden_head(std::uint64_t id, serve::ServeStatus status) {
+  return {id, status, "msg-" + std::to_string(id)};
+}
+
+core::FineTuneConfig golden_config() {
+  core::FineTuneConfig cfg;
+  cfg.max_epochs = 101;
+  cfg.base_lr = 0.125;
+  cfg.max_lr = 0.375;
+  cfg.lr_cycle = 102;
+  cfg.weight_decay = 0.0625;
+  cfg.mae_target_seconds = 3.5;
+  cfg.patience = 103;
+  cfg.seed = 104;
+  cfg.batch_size = 106;  // declared before unlock_f_after, encoded last
+  cfg.unlock_f_after = 105;
+  cfg.unlock_f_immediately = true;
+  cfg.train_autoencoder = true;
+  return cfg;
+}
+
+serve::ServeMetrics golden_metrics() {
+  serve::ServeMetrics m;
+  m.requests = 201;
+  m.responses = 202;
+  m.batches = 203;
+  m.coalesced = 204;
+  m.deadline_flushes = 205;
+  m.drain_flushes = 206;
+  m.coalesced_requests = 207;
+  m.max_queue_depth = 208;
+  m.queue_depth = 209;
+  m.replica_hits = 210;
+  m.replica_misses = 211;
+  m.replica_invalidations = 212;
+  m.effective_flush_deadline_us = 213;
+  m.interarrival_ewma_us = 214.25;
+  m.max_dispatch_lag_us = 215;
+  m.starved_flushes = 216;
+  m.latency_count = 217;
+  m.latency_p50_us = 218;
+  m.latency_p95_us = 219;
+  m.latency_p99_us = 220;
+  m.drift_error_ewma = 221.75;
+  m.drift_reports = 222;
+  m.drift_refits = 223;
+  m.reductions = 224;
+  m.reduction_runs_dropped = 225;
+  m.reduction_last_kept = 226;
+  return m;
+}
+
+template <typename Msg>
+Msg golden();
+
+template <>
+PredictRequest golden() {
+  return {.request_id = 0x1001, .key = golden_key(1), .query = golden_run(1)};
+}
+template <>
+PredictManyRequest golden() {
+  return {.request_id = 0x1002, .key = golden_key(2), .queries = {golden_run(2), golden_run(3)}};
+}
+template <>
+PublishRequest golden() {
+  return {.request_id = 0x1003, .key = golden_key(3), .checkpoint_text = kGoldenCheckpoint};
+}
+template <>
+RefitAsyncRequest golden() {
+  return {.request_id = 0x1004,
+          .key = golden_key(4),
+          .runs = {golden_run(4), golden_run(5)},
+          .config = golden_config(),
+          .strategy = static_cast<std::uint8_t>(core::ReuseStrategy::kFullReset)};
+}
+template <>
+MetricsRequest golden() {
+  return {.request_id = 0x1005, .key = golden_key(5)};
+}
+template <>
+SetQosRequest golden() {
+  return {.request_id = 0x1006,
+          .key = golden_key(6),
+          .qos_class = static_cast<std::uint8_t>(serve::QosClass::kBulk),
+          .weight = 0.75,
+          .max_lag_us = 0x6006};
+}
+template <>
+EraseRequest golden() {
+  return {.request_id = 0x1007, .key = golden_key(7)};
+}
+template <>
+DrainRequest golden() {
+  return {.request_id = 0x1008};
+}
+template <>
+AdvertiseRequest golden() {
+  return {.request_id = 0x1009, .entries = {{golden_key(9), 0x9009}, {golden_key(10), 0x900A}}};
+}
+template <>
+DigestRequest golden() {
+  return {.request_id = 0x100A};
+}
+template <>
+PullRequest golden() {
+  return {.request_id = 0x100B, .key = golden_key(11)};
+}
+template <>
+ReportRunRequest golden() {
+  return {.request_id = 0x100C, .key = golden_key(12), .run = golden_run(12)};
+}
+
+template <>
+PredictResponse golden() {
+  return {.head = golden_head(0x2001, serve::ServeStatus::kUnknownModel), .value = -0.5};
+}
+template <>
+PredictManyResponse golden() {
+  return {.head = golden_head(0x2002, serve::ServeStatus::kNotFitted), .values = {1.25, -2.5, 3.0}};
+}
+template <>
+PublishResponse golden() {
+  return {.head = golden_head(0x2003, serve::ServeStatus::kInvalidArgument)};
+}
+template <>
+RefitResponse golden() {
+  return {.head = golden_head(0x2004, serve::ServeStatus::kStoreError),
+          .epochs_run = 0x4004,
+          .best_mae_seconds = 4.5,
+          .reached_target = 1,
+          .fit_seconds = 0.875};
+}
+template <>
+MetricsResponse golden() {
+  return {.head = golden_head(0x2005, serve::ServeStatus::kShutdown), .metrics = golden_metrics()};
+}
+template <>
+SetQosResponse golden() {
+  return {.head = golden_head(0x2006, serve::ServeStatus::kConflict)};
+}
+template <>
+EraseResponse golden() {
+  return {.head = golden_head(0x2007, serve::ServeStatus::kInternalError)};
+}
+template <>
+DrainResponse golden() {
+  return {.head = golden_head(0x2008, serve::ServeStatus::kTimeout)};
+}
+template <>
+AdvertiseResponse golden() {
+  return {.head = golden_head(0x2009, serve::ServeStatus::kUnknownModel)};
+}
+template <>
+DigestResponse golden() {
+  return {.head = golden_head(0x200A, serve::ServeStatus::kNotFitted),
+          .entries = {{golden_key(13), 0xA00D}, {golden_key(14), 0xA00E}}};
+}
+template <>
+PullResponse golden() {
+  return {.head = golden_head(0x200B, serve::ServeStatus::kInvalidArgument),
+          .stamp = 0xB00B,
+          .checkpoint_text = kGoldenCheckpoint};
+}
+template <>
+ReportRunResponse golden() {
+  return {.head = golden_head(0x200C, serve::ServeStatus::kStoreError),
+          .error_ewma = 0.3125,
+          .reports = 0xC00C,
+          .refit_triggered = 1};
+}
+
+/// Frames of the instances above as the pre-layout codec wrote them (one
+/// hand-written encode per message).  Changing a byte here is a wire break.
+const std::map<MsgType, std::string> kGoldenHex = {
+    {MsgType::kPredictRequest,
+     "78000000020001000110000000000000050000006a6f622d31050000006374782d3105000000616c672d3105"
+     "000000656e762d31060000006e6f64652d31050000007061722d310110000000000000050000006368722d31"
+     "01200000000000000130000000000000f8ffffff0000000000002b409947a29808e0316b"},
+    {MsgType::kPredictManyRequest,
+     "ce000000020002000210000000000000050000006a6f622d32050000006374782d320200000005000000616c"
+     "672d3205000000656e762d32060000006e6f64652d32050000007061722d3202100000000000000500000063"
+     "68722d3202200000000000000230000000000000f7ffffff0000000000002d4005000000616c672d33050000"
+     "00656e762d33060000006e6f64652d33050000007061722d330310000000000000050000006368722d330320"
+     "0000000000000330000000000000f6ffffff0000000000002f40ae9064d0e39f6325"},
+    {MsgType::kPublishRequest,
+     "37000000020003000310000000000000050000006a6f622d33050000006374782d330d000000636b70740076"
+     "31fffe20656e6407b05eb248e269c1"},
+    {MsgType::kRefitAsyncRequest,
+     "21010000020004000410000000000000050000006a6f622d34050000006374782d340200000005000000616c"
+     "672d3405000000656e762d34060000006e6f64652d34050000007061722d3404100000000000000500000063"
+     "68722d3404200000000000000430000000000000f5ffffff000000000080304005000000616c672d35050000"
+     "00656e762d35060000006e6f64652d35050000007061722d350510000000000000050000006368722d350520"
+     "0000000000000530000000000000f4ffffff00000000008031406500000000000000000000000000c03f0000"
+     "00000000d83f6600000000000000000000000000b03f0000000000000c406700000000000000680000000000"
+     "0000690000000000000001016a0000000000000003ca2abfcfbcb66828"},
+    {MsgType::kMetricsRequest,
+     "26000000020005000510000000000000050000006a6f622d35050000006374782d353979c6fe0cede67e"},
+    {MsgType::kSetQosRequest,
+     "37000000020006000610000000000000050000006a6f622d36050000006374782d3601000000000000e83f06"
+     "6000000000000071cca317a87b0f68"},
+    {MsgType::kEraseRequest,
+     "26000000020007000710000000000000050000006a6f622d37050000006374782d37954187fdce3072c6"},
+    {MsgType::kDrainRequest,
+     "1400000002000800081000000000000057a0ee7d5b3017d7"},
+    {MsgType::kAdvertiseRequest,
+     "4e00000002000900091000000000000002000000050000006a6f622d39050000006374782d39099000000000"
+     "0000060000006a6f622d3130060000006374782d31300a90000000000000da4a40d1f0335093"},
+    {MsgType::kDigestRequest,
+     "1400000002000a000a10000000000000a794b2521c0b7339"},
+    {MsgType::kPullRequest,
+     "2800000002000b000b10000000000000060000006a6f622d3131060000006374782d313161fc1549e183b9ce"},
+    {MsgType::kReportRunRequest,
+     "7f00000002000c000c10000000000000060000006a6f622d3132060000006374782d313206000000616c672d"
+     "313206000000656e762d3132070000006e6f64652d3132060000007061722d31320c10000000000000060000"
+     "006368722d31320c200000000000000c30000000000000edffffff0000000000803840d5699f0e0285ea40"},
+    {MsgType::kPredictResponse,
+     "2900000002008100012000000000000001080000006d73672d38313933000000000000e0bff48e708ba0925c"
+     "44"},
+    {MsgType::kPredictManyResponse,
+     "3d00000002008200022000000000000002080000006d73672d3831393403000000000000000000f43f000000"
+     "00000004c00000000000000840e328d5a14437a94c"},
+    {MsgType::kPublishResponse,
+     "2100000002008300032000000000000003080000006d73672d3831393511a716aa97788478"},
+    {MsgType::kRefitResponse,
+     "3a00000002008400042000000000000004080000006d73672d38313936044000000000000000000000000012"
+     "4001000000000000ec3f776ecc21009bfa99"},
+    {MsgType::kMetricsResponse,
+     "f100000002008500052000000000000005080000006d73672d38313937c900000000000000ca000000000000"
+     "00cb00000000000000cc00000000000000cd00000000000000ce00000000000000cf00000000000000d00000"
+     "0000000000d100000000000000d200000000000000d300000000000000d400000000000000d5000000000000"
+     "000000000000c86a40d700000000000000d800000000000000d900000000000000da00000000000000db0000"
+     "0000000000dc000000000000000000000000b86b40de00000000000000df00000000000000e0000000000000"
+     "00e100000000000000e200000000000000b05f93c56df60068"},
+    {MsgType::kSetQosResponse,
+     "2100000002008600062000000000000006080000006d73672d38313938c9ebc745fdbe0fef"},
+    {MsgType::kEraseResponse,
+     "2100000002008700072000000000000007080000006d73672d3831393901207634054b5f1e"},
+    {MsgType::kDrainResponse,
+     "2100000002008800082000000000000008080000006d73672d383230308f3173d08e59029a"},
+    {MsgType::kAdvertiseResponse,
+     "2100000002008900092000000000000001080000006d73672d38323031e3fc1fb65f1cf9ee"},
+    {MsgType::kDigestResponse,
+     "5d00000002008a000a2000000000000002080000006d73672d3832303202000000060000006a6f622d313306"
+     "0000006374782d31330da0000000000000060000006a6f622d3134060000006374782d31340ea00000000000"
+     "00329bea040fd44a7a"},
+    {MsgType::kPullResponse,
+     "3a00000002008b000b2000000000000003080000006d73672d383230330bb00000000000000d000000636b70"
+     "74007631fffe20656e64a8dd460e391208cb"},
+    {MsgType::kReportRunResponse,
+     "3200000002008c000c2000000000000004080000006d73672d38323034000000000000d43f0cc00000000000"
+     "00010db0a902185acb94"},
+};
+
+std::string to_hex(const std::vector<std::uint8_t>& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (std::uint8_t b : bytes) {
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 15];
+  }
+  return hex;
+}
+
+template <typename Tuple>
+struct TestTypesOf;
+template <typename... Msg>
+struct TestTypesOf<std::tuple<Msg...>> {
+  using type = ::testing::Types<Msg...>;
+};
+
+/// Typed over the whole wire catalog: a message added to Catalog is swept
+/// here as soon as it has a golden<>() instance and a golden frame.
+template <typename Msg>
+class WireCatalog : public ::testing::Test {};
+TYPED_TEST_SUITE(WireCatalog, TestTypesOf<Catalog>::type);
+
+TYPED_TEST(WireCatalog, EncodesToTheGoldenFrameAndRoundTripsByteForByte) {
+  const std::vector<std::uint8_t> frame = encode_frame(golden<TypeParam>());
+  ASSERT_EQ(kGoldenHex.count(TypeParam::kType), 1u);
+  EXPECT_EQ(to_hex(frame), kGoldenHex.at(TypeParam::kType));
+  TypeParam decoded;
+  ASSERT_EQ(decode_frame(frame.data(), frame.size(), decoded), WireStatus::kOk);
+  EXPECT_EQ(encode_frame(decoded), frame);
+}
+
+TYPED_TEST(WireCatalog, EveryStrictPrefixIsTruncated) {
+  const std::vector<std::uint8_t> frame = encode_frame(golden<TypeParam>());
+  for (std::size_t cut = 0; cut < frame.size(); ++cut) {
+    TypeParam out;
+    EXPECT_EQ(decode_frame(frame.data(), cut, out), WireStatus::kTruncated) << "prefix " << cut;
+  }
+}
+
+TYPED_TEST(WireCatalog, ResealedInnerTruncationIsATypedErrorNeverOk) {
+  // The frame stays self-consistent (length prefix rewritten, checksum
+  // resealed) while the payload is cut short, so the message decoder itself
+  // must notice.  Bodies below version + type + trailer are runts.
+  const std::vector<std::uint8_t> frame = encode_frame(golden<TypeParam>());
+  for (std::size_t cut = 4; cut < frame.size() - 4; ++cut) {
+    std::vector<std::uint8_t> spliced(frame.begin(), frame.begin() + cut + 4);
+    const std::uint32_t len = static_cast<std::uint32_t>(cut);
+    std::memcpy(spliced.data(), &len, sizeof len);
+    if (cut >= 4 + kFrameChecksumBytes) reseal(spliced);
+    TypeParam out;
+    const WireStatus status = decode_frame(spliced.data(), spliced.size(), out);
+    EXPECT_EQ(status, cut < 4 + kFrameChecksumBytes ? WireStatus::kOversizedFrame
+                                                    : WireStatus::kTruncated)
+        << "cut " << cut << ": " << to_string(status);
+  }
+}
+
+/// A resealed frame of `type` whose payload is `payload`.
+std::vector<std::uint8_t> frame_around(MsgType type, const WireWriter& payload) {
+  WireWriter framed;
+  framed.u32(static_cast<std::uint32_t>(payload.size() + 4 + kFrameChecksumBytes));
+  framed.u16(kWireVersion);
+  framed.u16(static_cast<std::uint16_t>(type));
+  std::vector<std::uint8_t> frame = framed.take();
+  frame.insert(frame.end(), payload.bytes().begin(), payload.bytes().end());
+  frame.resize(frame.size() + kFrameChecksumBytes);
+  reseal(frame);
+  return frame;
+}
+
+TEST(Wire, HostileVectorCountsAreTruncatedWithBoundedReserve) {
+  // A count of 0xFFFFFFFF followed by no elements: decoding must fail at the
+  // first missing element having reserved at most kMaxEagerReserve slots.
+  constexpr std::uint32_t kHostile = 0xFFFFFFFFu;
+  {
+    WireWriter w;
+    w.u64(1);
+    w.str("job");
+    w.str("ctx");
+    w.u32(kHostile);
+    const std::vector<std::uint8_t> frame = frame_around(MsgType::kPredictManyRequest, w);
+    PredictManyRequest out;
+    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out), WireStatus::kTruncated);
+    EXPECT_LE(out.queries.capacity(), kMaxEagerReserve);
+  }
+  WireWriter head;  // an ok ResponseHead
+  head.u64(2);
+  head.u8(0);
+  head.str("");
+  {
+    WireWriter w = head;
+    w.u32(kHostile);
+    const std::vector<std::uint8_t> frame = frame_around(MsgType::kPredictManyResponse, w);
+    PredictManyResponse out;
+    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out), WireStatus::kTruncated);
+    EXPECT_LE(out.values.capacity(), kMaxEagerReserve);
+  }
+  {
+    WireWriter w = head;
+    w.u32(kHostile);
+    const std::vector<std::uint8_t> frame = frame_around(MsgType::kDigestResponse, w);
+    DigestResponse out;
+    EXPECT_EQ(decode_frame(frame.data(), frame.size(), out), WireStatus::kTruncated);
+    EXPECT_LE(out.entries.capacity(), kMaxEagerReserve);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Frame reader (read_frame over a connected socket pair)
+// ---------------------------------------------------------------------------
+
+std::pair<Socket, Socket> socket_pair() {
+  int fds[2] = {-1, -1};
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  return {Socket(fds[0]), Socket(fds[1])};
+}
+
+TEST(Wire, ReadFrameGrowsWithArrivingBytesNotWithTheLengthPrefix) {
+  // A bare prefix announcing the maximum, 16 bytes, then EOF: the reader
+  // must not have zero-filled 64 MiB waiting for the rest.
+  auto [reader, writer] = socket_pair();
+  WireWriter w;
+  w.u32(kMaxFrameBytes);
+  for (int i = 0; i < 16; ++i) w.u8(0xAB);
+  ASSERT_EQ(writer.write_all(w.bytes().data(), w.size()), IoStatus::kOk);
+  writer.close();
+  std::vector<std::uint8_t> body;
+  EXPECT_EQ(read_frame(reader, body), FrameRead::kClosed);
+  EXPECT_LT(body.capacity(), std::size_t{1} << 20);
+}
+
+TEST(Wire, ReadFrameRejectsLengthPrefixesOutsideTheFrameBounds) {
+  for (const std::uint32_t len : {std::uint32_t{3}, kMaxFrameBytes + 1}) {
+    auto [reader, writer] = socket_pair();
+    WireWriter w;
+    w.u32(len);
+    ASSERT_EQ(writer.write_all(w.bytes().data(), w.size()), IoStatus::kOk);
+    std::vector<std::uint8_t> body;
+    EXPECT_EQ(read_frame(reader, body), FrameRead::kBadLength) << "len " << len;
+  }
+}
+
+TEST(Wire, ReadFrameReadsFramesBackToBackIntact) {
+  // A frame within one growth step, one spanning several, then EOF.
+  PublishRequest big = golden<PublishRequest>();
+  big.checkpoint_text.assign(3 * kFrameReadStep + 123, '\xfe');
+  const std::vector<std::vector<std::uint8_t>> frames = {
+      encode_frame(golden<PublishRequest>()), encode_frame(big)};
+  auto [reader, writer] = socket_pair();
+  std::thread send([&writer = writer, &frames] {
+    for (const auto& frame : frames) {
+      ASSERT_EQ(writer.write_all(frame.data(), frame.size()), IoStatus::kOk);
+    }
+    writer.close();
+  });
+  std::vector<std::uint8_t> body;
+  for (const auto& frame : frames) {
+    ASSERT_EQ(read_frame(reader, body), FrameRead::kOk);
+    EXPECT_EQ(body, std::vector<std::uint8_t>(frame.begin() + 4, frame.end()));
+    FrameView view;
+    ASSERT_EQ(parse_body(body.data(), body.size(), view), WireStatus::kOk);
+    PublishRequest out;
+    ASSERT_EQ(decode_message(view, out), WireStatus::kOk);
+  }
+  EXPECT_EQ(read_frame(reader, body), FrameRead::kClosed);
+  send.join();
 }
 
 }  // namespace
