@@ -89,15 +89,13 @@ void print_metrics(const serve::ServeMetrics& m) {
   std::fprintf(stderr,
                "  requests %llu  responses %llu  batches %llu (full %llu / deadline %llu "
                "/ drain %llu)\n"
-               "  queue depth %llu (max %llu)  replicas hit/miss/inval %llu/%llu/%llu\n"
+               "  queue depth %llu (max %llu)\n"
                "  effective deadline %llu us  ewma %.1f us  max lag %llu us  starved %llu\n"
                "  latency p50/p95/p99 %llu/%llu/%llu us over %llu responses\n",
                (unsigned long long)m.requests, (unsigned long long)m.responses,
                (unsigned long long)m.batches, (unsigned long long)m.coalesced,
                (unsigned long long)m.deadline_flushes, (unsigned long long)m.drain_flushes,
                (unsigned long long)m.queue_depth, (unsigned long long)m.max_queue_depth,
-               (unsigned long long)m.replica_hits, (unsigned long long)m.replica_misses,
-               (unsigned long long)m.replica_invalidations,
                (unsigned long long)m.effective_flush_deadline_us, m.interarrival_ewma_us,
                (unsigned long long)m.max_dispatch_lag_us,
                (unsigned long long)m.starved_flushes, (unsigned long long)m.latency_p50_us,

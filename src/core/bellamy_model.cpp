@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "core/replica_pool.hpp"
 #include "nn/activations.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -396,7 +395,7 @@ BellamyLoss BellamyModel::evaluate(const BellamyBatch& batch, double reconstruct
   return loss;
 }
 
-std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>& runs) {
+std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>& runs) const {
   if (runs.empty()) return {};
   if (!norm_fitted_) {
     throw std::logic_error("BellamyModel::predict_batch: fit_normalization was never called "
@@ -416,9 +415,8 @@ std::vector<double> BellamyModel::predict_batch(const std::vector<data::JobRun>&
   return predict_batch_serial(runs);
 }
 
-std::vector<double> BellamyModel::predict_batch_serial(const std::vector<data::JobRun>& runs) {
-  set_training(false);
-
+std::vector<double> BellamyModel::predict_batch_serial(
+    const std::vector<data::JobRun>& runs) const {
   const std::size_t b = runs.size();
   const std::size_t m = config_.num_essential;
   const std::size_t n = config_.num_optional;
@@ -434,8 +432,8 @@ std::vector<double> BellamyModel::predict_batch_serial(const std::vector<data::J
   // forward, so predictions match the per-sample path bit for bit.
   const BellamyEncodedRuns encoded = encode_runs(runs);
 
-  const nn::Matrix e = f_.forward(normalize_scaleout(encoded.scaleout_raw));  // (B x F)
-  const nn::Matrix codes = g_.forward(encoded.properties);                    // (U x M)
+  const nn::Matrix e = f_.infer(normalize_scaleout(encoded.scaleout_raw));  // (B x F)
+  const nn::Matrix codes = g_.infer(encoded.properties);                    // (U x M)
 
   nn::Matrix combined(b, config_.combined_dim());
   for (std::size_t i = 0; i < b; ++i) {
@@ -451,7 +449,7 @@ std::vector<double> BellamyModel::predict_batch_serial(const std::vector<data::J
     }
   }
 
-  const nn::Matrix prediction = z_.forward(combined);  // (B x 1)
+  const nn::Matrix prediction = z_.infer(combined);  // (B x 1)
   std::vector<double> out(b);
   for (std::size_t i = 0; i < b; ++i) out[i] = denormalize_target(prediction(i, 0));
   return out;
@@ -459,13 +457,13 @@ std::vector<double> BellamyModel::predict_batch_serial(const std::vector<data::J
 
 std::uint64_t BellamyModel::state_stamp() const {
   // Stable hash over the architecture config, every parameter tensor, and
-  // the normalization state — everything a replica's predictions depend on.
+  // the normalization state — everything the model's predictions depend on.
   // The optimizer mutates parameters through raw pointers, so the stamp is
   // recomputed from the values (cheap: one pass over ~2k doubles) rather
   // than tracked.  The config fields are included so two models that happen
-  // to share parameter bytes but differ in architecture can never collide
-  // on a shared pool (fields are hashed individually — raw struct bytes
-  // would include indeterminate padding).
+  // to share parameter bytes but differ in architecture never share a stamp
+  // (fields are hashed individually — raw struct bytes would include
+  // indeterminate padding).
   std::uint64_t h = util::kFnv1a64Seed;
   const auto mix = [&h](const auto& v) { h = util::fnv1a64_bytes(&v, sizeof(v), h); };
   mix(config_.scaleout_input);
@@ -494,18 +492,9 @@ std::uint64_t BellamyModel::state_stamp() const {
   return util::fnv1a64_bytes(&fitted, 1, h);
 }
 
-ReplicaPool& BellamyModel::replica_pool() {
-  if (!replica_pool_) replica_pool_ = std::make_shared<ReplicaPool>();
-  return *replica_pool_;
-}
-
-void BellamyModel::set_replica_pool(std::shared_ptr<ReplicaPool> pool) {
-  replica_pool_ = std::move(pool);
-}
-
 std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::JobRun>& runs,
                                                         parallel::ThreadPool* pool,
-                                                        std::size_t num_chunks) {
+                                                        std::size_t num_chunks) const {
   if (runs.empty()) return {};
   if (!norm_fitted_) {
     throw std::logic_error(
@@ -521,17 +510,8 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
   // inline instead of competing for them.
   if (chunks <= 1 || p.owns_current_thread()) return predict_batch_serial(runs);
 
-  // One forward pass caches activations inside the network modules, so a
-  // model instance must never be shared across threads — every chunk checks
-  // a replica out of the pool.  The pool serves cached replicas while this
-  // model's state stamp is unchanged (steady-state serving pays the
-  // checkpoint deserialization once, not per call) and rebuilds them
-  // transparently after any mutation.
-  ReplicaPool& rp = replica_pool();
-  std::vector<ReplicaPool::Lease> leases;
-  leases.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) leases.push_back(rp.acquire(*this));
-
+  // The serial pass is const and writes nothing, so every chunk predicts on
+  // this same model concurrently.
   const std::size_t chunk_size = (b + chunks - 1) / chunks;
   std::vector<double> out(b);
   parallel::parallel_for(
@@ -542,18 +522,20 @@ std::vector<double> BellamyModel::predict_batch_chunked(const std::vector<data::
         const std::size_t end = std::min(b, begin + chunk_size);
         const std::vector<data::JobRun> slice(runs.begin() + static_cast<std::ptrdiff_t>(begin),
                                               runs.begin() + static_cast<std::ptrdiff_t>(end));
-        const auto preds = leases[c].model().predict_batch_serial(slice);
+        const auto preds = predict_batch_serial(slice);
         std::copy(preds.begin(), preds.end(), out.begin() + static_cast<std::ptrdiff_t>(begin));
       },
       &p);
   return out;
 }
 
-std::vector<double> BellamyModel::predict(const std::vector<data::JobRun>& runs) {
+std::vector<double> BellamyModel::predict(const std::vector<data::JobRun>& runs) const {
   return predict_batch(runs);
 }
 
-double BellamyModel::predict_one(const data::JobRun& run) { return predict_batch({run})[0]; }
+double BellamyModel::predict_one(const data::JobRun& run) const {
+  return predict_batch({run})[0];
+}
 
 std::vector<nn::Parameter*> BellamyModel::parameters() {
   std::vector<nn::Parameter*> ps;
@@ -589,13 +571,6 @@ void BellamyModel::set_training(bool training) {
 void BellamyModel::set_dropout_rate(double rate) {
   g_dropout_->set_rate(rate);
   h_dropout_->set_rate(rate);
-}
-
-void BellamyModel::clear_forward_caches() {
-  f_.clear_forward_cache();
-  g_.clear_forward_cache();
-  h_.clear_forward_cache();
-  z_.clear_forward_cache();
 }
 
 nn::Checkpoint BellamyModel::to_checkpoint() const {

@@ -46,23 +46,15 @@ void BellamyPredictor::fit(const std::vector<data::JobRun>& runs) {
   util::Timer timer;
   if (pretrained_) {
     model_.emplace(BellamyModel::from_checkpoint(*pretrained_checkpoint_));
-    model_->set_replica_pool(replica_pool_);
-    FineTuneConfig cfg = apply_reuse_strategy(strategy_, *model_, finetune_config_);
-    if (runs.empty()) {
-      // Direct reuse without any context data (paper: "a pre-trained Bellamy
-      // model can be directly applied in a new context without any seen data
-      // points").
-      last_fit_ = FineTuneResult{};
-      last_fit_.fit_seconds = timer.seconds();
-      return;
-    }
-    last_fit_ = finetune(*model_, runs, cfg);
+    // Empty runs is direct reuse without any context data (paper: "a
+    // pre-trained Bellamy model can be directly applied in a new context
+    // without any seen data points").
+    last_fit_ = reuse_and_finetune(*model_, runs, finetune_config_, strategy_);
   } else {
     if (runs.empty()) {
       throw std::invalid_argument("BellamyPredictor(local)::fit: needs >= 1 training point");
     }
     model_.emplace(model_config_, seed_);
-    model_->set_replica_pool(replica_pool_);
     last_fit_ = finetune(*model_, runs, finetune_config_);
   }
   last_fit_.fit_seconds = timer.seconds();

@@ -72,4 +72,11 @@ FineTuneConfig apply_reuse_strategy(ReuseStrategy strategy, BellamyModel& model,
   return base;
 }
 
+FineTuneResult reuse_and_finetune(BellamyModel& model, const std::vector<data::JobRun>& runs,
+                                  const FineTuneConfig& config, ReuseStrategy strategy) {
+  const FineTuneConfig cfg = apply_reuse_strategy(strategy, model, config);
+  if (runs.empty()) return FineTuneResult{};
+  return finetune(model, runs, cfg);
+}
+
 }  // namespace bellamy::core

@@ -14,6 +14,7 @@
 // The auto-encoder parameters are never changed by any reuse strategy.
 
 #include <string>
+#include <vector>
 
 #include "core/bellamy_model.hpp"
 #include "core/trainer.hpp"
@@ -47,5 +48,14 @@ BellamyModel make_scenario_model(PretrainScenario scenario, const data::Dataset&
 /// FineTuneConfig flags).
 FineTuneConfig apply_reuse_strategy(ReuseStrategy strategy, BellamyModel& model,
                                     FineTuneConfig base);
+
+/// The fit recipe for a pre-trained model in a new context: apply the reuse
+/// strategy to `model`, then fine-tune it on `runs`.  Empty `runs` skips the
+/// fine-tune (direct reuse) and returns a default FineTuneResult.
+/// BellamyPredictor::fit and serve::ModelRegistry refits both run this, so
+/// their weights are bit-identical for the same inputs.  fit_seconds is left
+/// for the caller to time.
+FineTuneResult reuse_and_finetune(BellamyModel& model, const std::vector<data::JobRun>& runs,
+                                  const FineTuneConfig& config, ReuseStrategy strategy);
 
 }  // namespace bellamy::core

@@ -407,7 +407,8 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
           resp.head = head_of(req.request_id, handle.status(), handle.message());
         } else {
           // May queue a refit on the entry's strand; the report itself is one
-          // replica-lease prediction, cheap enough for the reader thread.
+          // prediction on the shared snapshot, cheap enough for the reader
+          // thread.
           const auto observed = options_.drift_monitor->report(handle.value(), req.run);
           resp.head = head_of(req.request_id, observed.status(), observed.message());
           if (observed.ok()) {

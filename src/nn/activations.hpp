@@ -16,8 +16,8 @@ inline constexpr double kSeluScale = 1.0507009873554804934193349852946;
 class Selu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void clear_forward_cache() override { cached_input_ = Matrix(); }
   std::string describe() const override { return "SELU"; }
 
  private:
@@ -27,8 +27,8 @@ class Selu : public Module {
 class Tanh : public Module {
  public:
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void clear_forward_cache() override { cached_output_ = Matrix(); }
   std::string describe() const override { return "Tanh"; }
 
  private:
@@ -38,8 +38,8 @@ class Tanh : public Module {
 class Relu : public Module {
  public:
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void clear_forward_cache() override { cached_input_ = Matrix(); }
   std::string describe() const override { return "ReLU"; }
 
  private:
@@ -49,8 +49,8 @@ class Relu : public Module {
 class Sigmoid : public Module {
  public:
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
-  void clear_forward_cache() override { cached_output_ = Matrix(); }
   std::string describe() const override { return "Sigmoid"; }
 
  private:
@@ -60,6 +60,7 @@ class Sigmoid : public Module {
 class Identity : public Module {
  public:
   Matrix forward(const Matrix& input) override { return input; }
+  Matrix infer(const Matrix& input) const override { return input; }
   Matrix backward(const Matrix& grad_output) override { return grad_output; }
   std::string describe() const override { return "Identity"; }
 };

@@ -16,11 +16,16 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, bool with_bias
 }
 
 Matrix Linear::forward(const Matrix& input) {
+  Matrix out = infer(input);  // validates the width before anything is cached
+  cached_input_ = input;
+  return out;
+}
+
+Matrix Linear::infer(const Matrix& input) const {
   if (input.cols() != in_) {
-    throw std::invalid_argument("Linear::forward: input " + input.shape_str() +
+    throw std::invalid_argument("Linear: input " + input.shape_str() +
                                 " incompatible with in_features=" + std::to_string(in_));
   }
-  cached_input_ = input;
   Matrix out = Matrix::matmul_nt(input, weight_.value);  // (B x in)(out x in)ᵀ
   if (with_bias_) out = out.add_row_broadcast(bias_.value);
   return out;

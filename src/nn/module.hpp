@@ -5,6 +5,9 @@
 // dL/d(output), accumulates dL/d(params) and returns dL/d(input) in
 // backward().  backward() must be called with the gradient matching the most
 // recent forward() — modules cache whatever they need between the two calls.
+// infer() is the evaluation-mode map without that cache: it writes nothing,
+// so any number of threads may call it on one module.  forward() caches and
+// then returns infer(), so the two share one arithmetic path.
 //
 // Freezing (the paper's fine-tuning policy keeps most components fixed) is
 // expressed per-parameter via Parameter::trainable; optimizers skip frozen
@@ -39,6 +42,10 @@ class Module {
   /// Compute outputs for a batch; caches activations for backward().
   virtual Matrix forward(const Matrix& input) = 0;
 
+  /// Evaluation-mode outputs for a batch (dropout off).  Const and
+  /// stateless; bit-identical to forward() in evaluation mode.
+  virtual Matrix infer(const Matrix& input) const = 0;
+
   /// Propagate dL/d(output) -> dL/d(input), accumulating parameter grads.
   virtual Matrix backward(const Matrix& grad_output) = 0;
 
@@ -48,11 +55,6 @@ class Module {
   /// Training vs evaluation mode (affects dropout).
   virtual void set_training(bool training) { training_ = training; }
   bool training() const { return training_; }
-
-  /// Drop whatever forward() cached for backward().  Forward/backward remain
-  /// valid afterwards (the next forward re-caches); callers use this to
-  /// bound the memory of parked model replicas between requests.
-  virtual void clear_forward_cache() {}
 
   /// Mark every owned parameter (non-)trainable.
   void set_trainable(bool trainable) {

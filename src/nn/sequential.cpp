@@ -8,6 +8,12 @@ Matrix Sequential::forward(const Matrix& input) {
   return x;
 }
 
+Matrix Sequential::infer(const Matrix& input) const {
+  Matrix x = input;
+  for (const auto& m : modules_) x = m->infer(x);
+  return x;
+}
+
 Matrix Sequential::backward(const Matrix& grad_output) {
   Matrix g = grad_output;
   for (auto it = modules_.rbegin(); it != modules_.rend(); ++it) g = (*it)->backward(g);

@@ -28,12 +28,10 @@ class Sequential : public Module {
   }
 
   Matrix forward(const Matrix& input) override;
+  Matrix infer(const Matrix& input) const override;
   Matrix backward(const Matrix& grad_output) override;
   std::vector<Parameter*> parameters() override;
   void set_training(bool training) override;
-  void clear_forward_cache() override {
-    for (auto& m : modules_) m->clear_forward_cache();
-  }
   std::string describe() const override;
 
   std::size_t num_modules() const { return modules_.size(); }

@@ -95,17 +95,9 @@ bool ThreadPool::try_run_pending_task() {
 
 void ThreadPool::wait_idle() {
   if (owns_current_thread()) {
-    // Helping wait: parking a worker here could deadlock (with one worker
-    // nobody else would run the queue), so drain instead.  The calling task
-    // stays pending while it waits here, so this does not return; the
-    // header documents that.
-    for (;;) {
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (pending_ == 0) return;
-      }
-      if (!try_run_pending_task()) std::this_thread::yield();
-    }
+    throw std::logic_error(
+        "ThreadPool::wait_idle called from one of the pool's own tasks, which would "
+        "wait for itself");
   }
   std::unique_lock<std::mutex> lock(mutex_);
   idle_cv_.wait(lock, [this] { return pending_ == 0; });

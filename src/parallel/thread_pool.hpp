@@ -59,10 +59,10 @@ class ThreadPool {
   /// tasks they spawn before the pending count reaches zero, and tasks a
   /// helping thread claimed via try_run_pending_task but has not finished
   /// (the count covers claimed-but-running work, not just the queue).
-  /// Called from one of THIS pool's workers, i.e. from inside one of its
-  /// tasks, it drains queued tasks inline instead of parking, but it cannot
-  /// return: the calling task itself counts as pending.  Code inside the
-  /// pool waits on its own futures instead (see try_run_pending_task).
+  /// Throws std::logic_error when called from one of THIS pool's workers,
+  /// i.e. from inside one of its tasks: the calling task itself counts as
+  /// pending, so the pool could never become idle.  Code inside the pool
+  /// waits on its own futures instead (see try_run_pending_task).
   void wait_idle();
 
   /// True when called from one of THIS pool's worker threads.  Code that

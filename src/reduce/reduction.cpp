@@ -94,7 +94,7 @@ std::vector<std::size_t> pick_coverage(const std::vector<data::JobRun>& runs,
 /// keep the k hardest.  Ties break toward the older run (lower index) so
 /// the selection is a pure function of (model bits, history, k).
 std::vector<std::size_t> pick_loss_aware(const std::vector<data::JobRun>& runs,
-                                         std::size_t k, core::BellamyModel& model) {
+                                         std::size_t k, const core::BellamyModel& model) {
   const std::vector<double> predicted = model.predict_batch(runs);
   std::vector<std::size_t> order(runs.size());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
@@ -154,7 +154,7 @@ std::optional<ReductionPolicy> parse_policy(std::string_view name) {
 
 std::vector<data::JobRun> reduce_runs(const std::vector<data::JobRun>& runs,
                                       const ReductionConfig& config,
-                                      core::BellamyModel* model,
+                                      const core::BellamyModel* model,
                                       ReductionReport* report) {
   if (!config.active() || config.budget >= runs.size()) {
     fill_report(runs, runs, config, report);

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "core/replica_pool.hpp"
-
 namespace bellamy::serve {
 
 namespace {
@@ -30,28 +28,16 @@ ServeResult<DriftObservation> DriftMonitor::report(const ModelHandle& handle,
                                                   "report_run: unknown handle");
   }
 
-  // Predict with the handle's CURRENT weights through the same stamp-keyed
-  // replica lease serving uses — cheap on the steady-state path and never
-  // holding the entry mutex across the forward pass.
-  core::ReplicaPool::Lease lease;
-  {
-    std::lock_guard<std::mutex> entry_lock(entry->mutex);
-    if (!entry->model) {
-      return ServeResult<DriftObservation>::failure(
-          ServeStatus::kNotFitted,
-          "report_run '" + entry->key.str() + "': no serveable model");
-    }
-    try {
-      lease = entry->pool->acquire(*entry->model);
-    } catch (const std::exception& e) {
-      return ServeResult<DriftObservation>::failure(
-          ServeStatus::kInternalError,
-          "report_run '" + entry->key.str() + "': replica acquire failed: " + e.what());
-    }
+  // Predict with the handle's CURRENT snapshot, the same one serving reads,
+  // without holding the entry mutex across the forward pass.
+  const auto model = entry->snapshot();
+  if (!model) {
+    return ServeResult<DriftObservation>::failure(
+        ServeStatus::kNotFitted, "report_run '" + entry->key.str() + "': no serveable model");
   }
   double predicted = 0.0;
   try {
-    predicted = lease.model().predict_one(run);
+    predicted = model->predict_one(run);
   } catch (const std::exception& e) {
     return ServeResult<DriftObservation>::failure(
         ServeStatus::kInternalError,

@@ -45,13 +45,11 @@ ServeResult<core::FineTuneResult> run_refit(
     reduction = entry->reduction;
   }
   try {
-    // Same recipe as BellamyPredictor::fit, so refit results are
-    // bit-identical to the legacy path given the same config.
     auto fresh = core::BellamyModel::from_checkpoint(*base);
 
     // Training-data reduction: map the full history to a bounded coreset
     // BEFORE the fine-tune.  Loss-aware scoring runs against the fresh base
-    // copy while it still carries the published weights (apply_reuse_strategy
+    // copy while it still carries the published weights (the reuse strategy
     // may re-initialize components below).
     const std::vector<data::JobRun>* train = &runs;
     std::vector<data::JobRun> coreset;
@@ -62,11 +60,10 @@ ServeResult<core::FineTuneResult> run_refit(
       train = &coreset;
     }
 
-    const core::FineTuneConfig cfg = core::apply_reuse_strategy(strategy, fresh, config);
-    core::FineTuneResult result;
     util::Timer timer;
-    if (!train->empty()) result = core::finetune(fresh, *train, cfg);
+    core::FineTuneResult result = core::reuse_and_finetune(fresh, *train, config, strategy);
     result.fit_seconds = timer.seconds();
+    auto snapshot = std::make_shared<const core::BellamyModel>(std::move(fresh));
 
     std::lock_guard<std::mutex> lock(entry->mutex);
     if (entry->base != base) {
@@ -74,8 +71,7 @@ ServeResult<core::FineTuneResult> run_refit(
           ServeStatus::kConflict,
           "refit '" + entry->key.str() + "': base checkpoint changed during the fine-tune");
     }
-    entry->model.emplace(std::move(fresh));
-    entry->model->set_replica_pool(entry->pool);
+    entry->model = std::move(snapshot);
     if (reduced) {
       entry->last_reduction = report;
       entry->reductions += 1;
@@ -101,6 +97,8 @@ ServeResult<Unit> persist_to_store(const std::shared_ptr<detail::RegistryEntry>&
         ServeStatus::kInvalidArgument,
         "persist '" + entry->key.str() + "': registry has no backing ModelStore");
   }
+  // The entry mutex stays held across the save: it serializes persists of
+  // one key, which share the store's temp file and must land in swap order.
   std::lock_guard<std::mutex> lock(entry->mutex);
   if (!entry->model) {
     return ServeResult<Unit>::failure(
@@ -143,7 +141,8 @@ ServeResult<ModelHandle> ModelRegistry::publish(const ModelKey& key,
     // refit base and the source of the serveable copy, so base and serving
     // weights agree at publish time.
     auto ckpt = std::make_shared<const nn::Checkpoint>(model.to_checkpoint());
-    auto serving = core::BellamyModel::from_checkpoint(*ckpt);
+    auto serving =
+        std::make_shared<const core::BellamyModel>(core::BellamyModel::from_checkpoint(*ckpt));
 
     ModelHandle handle;
     std::shared_ptr<detail::RegistryEntry> entry;
@@ -153,8 +152,7 @@ ServeResult<ModelHandle> ModelRegistry::publish(const ModelKey& key,
     }
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     entry->base = std::move(ckpt);
-    entry->model.emplace(std::move(serving));
-    entry->model->set_replica_pool(entry->pool);
+    entry->model = std::move(serving);
     return handle;
   } catch (const std::exception& e) {
     return ServeResult<ModelHandle>::failure(
@@ -188,7 +186,8 @@ ServeResult<ModelHandle> ModelRegistry::open(const ModelKey& key) {
     }
     auto ckpt = std::make_shared<const nn::Checkpoint>(
         store_->load_checkpoint(key.job, key.context));
-    auto serving = core::BellamyModel::from_checkpoint(*ckpt);
+    auto serving =
+        std::make_shared<const core::BellamyModel>(core::BellamyModel::from_checkpoint(*ckpt));
 
     ModelHandle handle;
     std::shared_ptr<detail::RegistryEntry> entry;
@@ -199,8 +198,7 @@ ServeResult<ModelHandle> ModelRegistry::open(const ModelKey& key) {
     std::lock_guard<std::mutex> entry_lock(entry->mutex);
     if (!entry->model) {  // lost a publish/open race: keep the winner's state
       entry->base = std::move(ckpt);
-      entry->model.emplace(std::move(serving));
-      entry->model->set_replica_pool(entry->pool);
+      entry->model = std::move(serving);
     }
     return handle;
   } catch (const std::invalid_argument& e) {
@@ -247,8 +245,8 @@ ServeResult<ModelHandle> ModelRegistry::derive(const ModelHandle& base, const Mo
     // must never be clobbered silently.
     auto entry = std::make_shared<detail::RegistryEntry>();
     entry->key = key;
-    entry->model.emplace(core::BellamyModel::from_checkpoint(*ckpt));
-    entry->model->set_replica_pool(entry->pool);
+    entry->model =
+        std::make_shared<const core::BellamyModel>(core::BellamyModel::from_checkpoint(*ckpt));
     entry->base = std::move(ckpt);  // the SAME checkpoint object as the base handle
 
     std::lock_guard<std::mutex> lock(mutex_);
@@ -464,17 +462,15 @@ ServeResult<std::string> ModelRegistry::checkpoint_text(const ModelHandle& handl
     return ServeResult<std::string>::failure(ServeStatus::kUnknownModel,
                                              "checkpoint_text: unknown handle");
   }
+  const auto model = entry->snapshot();
+  if (!model) {
+    return ServeResult<std::string>::failure(
+        ServeStatus::kNotFitted,
+        "checkpoint_text '" + entry->key.str() + "': entry has no fitted model");
+  }
   try {
     std::ostringstream out;
-    {
-      std::lock_guard<std::mutex> lock(entry->mutex);
-      if (!entry->model) {
-        return ServeResult<std::string>::failure(
-            ServeStatus::kNotFitted,
-            "checkpoint_text '" + entry->key.str() + "': entry has no fitted model");
-      }
-      entry->model->to_checkpoint().save(out);
-    }
+    model->to_checkpoint().save(out);
     return out.str();
   } catch (const std::exception& e) {
     return ServeResult<std::string>::failure(
@@ -498,7 +494,7 @@ bool ModelRegistry::fitted(const ModelHandle& handle) const noexcept {
     const auto entry = resolve(handle);
     if (!entry) return false;
     std::lock_guard<std::mutex> lock(entry->mutex);
-    return entry->model.has_value();
+    return entry->model != nullptr;
   } catch (...) {
     return false;  // a throwing lock must not escalate to std::terminate
   }
@@ -508,8 +504,8 @@ std::uint64_t ModelRegistry::state_stamp(const ModelHandle& handle) const noexce
   try {
     const auto entry = resolve(handle);
     if (!entry) return 0;
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    return entry->model ? entry->model->state_stamp() : 0;
+    const auto model = entry->snapshot();
+    return model ? model->state_stamp() : 0;
   } catch (...) {
     return 0;
   }

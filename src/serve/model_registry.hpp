@@ -16,14 +16,21 @@
 //     base checkpoint of an existing one (direct reuse until refit).
 //   * refit(handle, runs)  — fine-tune a fresh copy of the base checkpoint
 //     off to the side and swap it in atomically.  In-flight predictions keep
-//     serving the old weights; the state-stamp change invalidates the
-//     handle's ReplicaPool so the next micro-batch serves the new ones.
+//     serving the old weights; the next micro-batch serves the new ones.
 //   * refit_async(...)     — the same recipe, scheduled on the global
 //     ThreadPool instead of the caller's thread.  One Strand per entry
 //     serializes refits of the SAME handle; refits of different handles run
 //     in parallel; a request arriving while one is still QUEUED replaces its
 //     payload and shares its future (duplicate-coalescing).  The caller —
 //     and serving — never block on the fine-tune.
+//
+// Each entry serves an IMMUTABLE model snapshot behind a
+// shared_ptr<const BellamyModel>.  Every operation that changes the weights
+// (publish, open, derive, refit) builds a complete new model first and then
+// swaps the pointer under the entry mutex.  Readers copy the pointer under
+// that mutex and predict without holding it: prediction is const, so any
+// number of threads share one snapshot, and a batch that started on the old
+// snapshot keeps it alive until it finishes.
 //
 // Handles stay valid across hot-swaps and refits; erase() retires one.
 // All operations are thread-safe.
@@ -42,7 +49,6 @@
 
 #include "core/bellamy_model.hpp"
 #include "core/model_store.hpp"
-#include "core/replica_pool.hpp"
 #include "core/trainer.hpp"
 #include "core/variants.hpp"
 #include "parallel/strand.hpp"
@@ -102,12 +108,11 @@ struct RefitJob {
 };
 
 /// One served model.  `mutex` guards `base`, `model`, and the refit
-/// bookkeeping (`pending_refit`, `refit_running`); the PredictionService
-/// holds it only for the (cheap, stamp-keyed) replica acquire, never across
-/// a forward pass, and background refits hold it only to pick up their job
-/// and to swap — never across the fine-tune itself.  `pool` is shared with
-/// the model so chunked prediction and the service lease from the same
-/// replica cache.  `refit_strand` serializes this entry's background refits
+/// bookkeeping (`pending_refit`, `refit_running`); readers hold it only to
+/// copy the `model` pointer (see snapshot()), never across a forward pass,
+/// and background refits hold it only to pick up their job and to swap —
+/// never across the fine-tune itself.  `refit_strand` serializes this
+/// entry's background refits
 /// on the process-wide ThreadPool; tasks capture the entry's shared_ptr, so
 /// an erase()d entry finishes its in-flight refit harmlessly off-registry.
 /// The strand's ordering is its own (drainer chaining), not the pool's: the
@@ -116,9 +121,8 @@ struct RefitJob {
 struct RegistryEntry {
   ModelKey key;
   mutable std::mutex mutex;
-  std::shared_ptr<const nn::Checkpoint> base;  ///< pretrained base for refits
-  std::optional<core::BellamyModel> model;     ///< current serveable weights
-  std::shared_ptr<core::ReplicaPool> pool = std::make_shared<core::ReplicaPool>();
+  std::shared_ptr<const nn::Checkpoint> base;         ///< pretrained base for refits
+  std::shared_ptr<const core::BellamyModel> model;    ///< current serveable snapshot
   std::optional<RefitJob> pending_refit;  ///< queued, not started (coalescing point)
   bool refit_running = false;             ///< a background refit is executing
   parallel::Strand refit_strand{parallel::ThreadPool::global()};
@@ -131,6 +135,14 @@ struct RegistryEntry {
   reduce::ReductionReport last_reduction;
   std::uint64_t reductions = 0;    ///< refits that ran with an active policy
   std::uint64_t runs_dropped = 0;  ///< cumulative runs dropped across refits
+
+  /// The current snapshot (null until fitted), copied under `mutex`.  The
+  /// caller may predict on it without any lock; a concurrent swap never
+  /// touches the model it holds.
+  std::shared_ptr<const core::BellamyModel> snapshot() const {
+    std::lock_guard<std::mutex> lock(mutex);
+    return model;
+  }
 };
 
 }  // namespace detail
@@ -247,12 +259,13 @@ class ModelRegistry {
 
   /// The entry's CURRENT serving weights serialized as nn::Checkpoint text
   /// (the ModelStore on-disk format, hex-float exact) — what a peer pulling
-  /// this model over the exchange layer receives.  Snapshots under the entry
-  /// mutex; never holds it across I/O.
+  /// this model over the exchange layer receives.  Copies the snapshot
+  /// pointer under the entry mutex; serializes outside it.
   ServeResult<std::string> checkpoint_text(const ModelHandle& handle) const;
 
   /// Retire a handle: subsequent resolves (and service requests) fail with
-  /// kUnknownModel.  Outstanding replica leases finish their batch.
+  /// kUnknownModel.  A batch already running finishes on the snapshot it
+  /// holds.
   ServeResult<Unit> erase(const ModelHandle& handle);
 
   /// Introspection without catch-as-control-flow: unknown handles and

@@ -168,8 +168,7 @@ ServeResult<HandleQos> PredictionService::qos(const ModelHandle& handle) const {
 }
 
 ServeResult<ServeMetrics> PredictionService::metrics(const ModelHandle& handle) const {
-  const auto entry = registry_.resolve(handle);
-  if (!entry) {
+  if (!registry_.resolve(handle)) {
     return ServeResult<ServeMetrics>::failure(ServeStatus::kUnknownModel,
                                               "metrics: unknown model handle");
   }
@@ -187,9 +186,6 @@ ServeResult<ServeMetrics> PredictionService::metrics(const ModelHandle& handle) 
       out.latency_p99_us = it->second.latency.quantile_us(0.99);
     }
   }
-  out.replica_hits = entry->pool->hits();
-  out.replica_misses = entry->pool->misses();
-  out.replica_invalidations = entry->pool->invalidations();
   return out;
 }
 
@@ -419,23 +415,13 @@ std::vector<ServeResult<double>> PredictionService::run_batch(
                       "model was erased while the request was queued");
   }
 
-  // Check a replica out of the handle's pool.  The entry mutex covers the
-  // acquire so a concurrent refit cannot swap the model mid-serialization;
-  // on the steady-state hit path this is a stamp compare + vector pop.
-  core::ReplicaPool::Lease lease;
-  {
-    std::lock_guard<std::mutex> entry_lock(entry->mutex);
-    if (!entry->model) {
-      return fail_batch(
-          batch.size(), ServeStatus::kNotFitted,
-          "'" + entry->key.str() + "' has no serveable model — publish or refit first");
-    }
-    try {
-      lease = entry->pool->acquire(*entry->model);
-    } catch (const std::exception& e) {
-      return fail_batch(batch.size(), ServeStatus::kInternalError,
-                        "'" + entry->key.str() + "': replica acquire failed: " + e.what());
-    }
+  // Hold the current snapshot for the whole batch: a refit that swaps the
+  // entry meanwhile leaves this model alive and untouched.
+  const auto model = entry->snapshot();
+  if (!model) {
+    return fail_batch(
+        batch.size(), ServeStatus::kNotFitted,
+        "'" + entry->key.str() + "' has no serveable model — publish or refit first");
   }
 
   std::vector<data::JobRun> queries;
@@ -445,7 +431,7 @@ std::vector<ServeResult<double>> PredictionService::run_batch(
   try {
     // One stacked forward pass for the whole micro-batch — bit-identical to
     // a per-request predict loop by the predict_batch contract.
-    const std::vector<double> predictions = lease.model().predict_batch(queries);
+    const std::vector<double> predictions = model->predict_batch(queries);
     std::vector<ServeResult<double>> results;
     results.reserve(batch.size());
     for (const double prediction : predictions) results.push_back(prediction);

@@ -5,14 +5,15 @@
 // future).  Requests land in a bounded per-handle lane; dispatcher workers
 // coalesce whatever is pending into a micro-batch and flush it when either
 // the batch is full (max_batch) or the lane's flush deadline expires.  A
-// micro-batch executes ONE stacked forward pass on a replica checked out of
-// the handle's stamp-keyed ReplicaPool, so
+// micro-batch executes ONE stacked forward pass on the handle's current
+// immutable model snapshot (see ModelRegistry), so
 //
 //   * concurrent callers share forward passes instead of serializing on a
-//     model mutex (a batch of k requests costs ~1 forward, not k), and
-//   * a registry refit hot-swaps weights between micro-batches: the stamp
-//     change makes the next acquire rebuild the replicas, while in-flight
-//     batches finish on the old weights.
+//     model mutex (a batch of k requests costs ~1 forward, not k), and all
+//     dispatchers read the same const model at once, and
+//   * a registry refit hot-swaps weights between micro-batches: the next
+//     batch picks up the new snapshot, while in-flight batches finish on
+//     the old one.
 //
 // Scheduling (this is the adaptive, fair core — see docs/ARCHITECTURE.md):
 //
@@ -35,7 +36,7 @@
 //     (max_dispatch_lag_us / starved_flushes).
 //
 // Coalescing is bit-transparent: predict_batch is certified bit-identical to
-// the per-sample loop, and a replica built from a checkpoint predicts
+// the per-sample loop, and a model built from a checkpoint predicts
 // bit-identically to its source — so the value a request receives does not
 // depend on which micro-batch it rode in (tests/serve/
 // test_prediction_service.cpp soaks this under 8+ client threads).
@@ -149,7 +150,11 @@ struct ServeMetrics {
   std::uint64_t coalesced_requests = 0;  ///< requests that shared a batch with others
   std::uint64_t max_queue_depth = 0;     ///< high-water mark of the pending queue
   std::uint64_t queue_depth = 0;         ///< pending requests right now
-  std::uint64_t replica_hits = 0;        ///< handle pool counters (see ReplicaPool)
+  /// Retired: counters of the per-handle model replica pool, which serving
+  /// no longer has (every batch reads the shared immutable snapshot).  They
+  /// always read 0 and stay only because the MetricsResponse wire layout
+  /// carries them; the next wire version bump drops them.
+  std::uint64_t replica_hits = 0;
   std::uint64_t replica_misses = 0;
   std::uint64_t replica_invalidations = 0;
 

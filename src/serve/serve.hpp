@@ -1,8 +1,9 @@
 #pragma once
 // bellamy::serve — the repo's serving front door.
 //
-//   ModelStore (disk)  ->  ModelRegistry (handles, hot-swap)  ->
-//   PredictionService (micro-batching)  ->  ReplicaPool (per-handle replicas)
+//   ModelStore (disk)  ->  ModelRegistry (handles, immutable snapshots
+//   swapped by pointer)  ->  PredictionService (micro-batching over the
+//   shared const snapshot)
 //
 // Typical wiring:
 //

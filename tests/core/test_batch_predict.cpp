@@ -177,6 +177,51 @@ TEST(BatchPredict, ChunkedSingleChunkAndEmptyEdges) {
   EXPECT_EQ(model.predict_batch_chunked(queries, &pool, 64), serial);
 }
 
+// A fine-tune mutates the weights in place; the next chunked call must see
+// the new weights exactly as the serial pass does.
+TEST(BatchPredict, ChunkedMatchesSerialAfterFineTune) {
+  Fixture fx;
+  BellamyModel model = quick_pretrained(fx.rest, 29);
+  model.set_predict_chunk_threshold(0);
+  const auto queries = scaleout_sweep(fx.target_runs.front(), 64);
+  parallel::ThreadPool pool(4);
+
+  const auto before = model.predict_batch_chunked(queries, &pool, 4);
+  const std::uint64_t stamp_before = model.state_stamp();
+  FineTuneConfig ft;
+  ft.max_epochs = 30;
+  ft.patience = 30;
+  finetune(model, {fx.target_runs.begin(), fx.target_runs.begin() + 4}, ft);
+  EXPECT_NE(model.state_stamp(), stamp_before);
+
+  const auto serial_after = model.predict_batch(queries);
+  const auto chunked_after = model.predict_batch_chunked(queries, &pool, 4);
+  EXPECT_EQ(chunked_after, serial_after);
+  EXPECT_NE(chunked_after, before) << "fine-tune did not change any prediction";
+}
+
+// fit() replaces the predictor's model; chunked prediction on the new one
+// matches its serial pass.
+TEST(BatchPredict, ChunkedMatchesSerialAfterPredictorRefit) {
+  Fixture fx;
+  const BellamyModel pretrained = quick_pretrained(fx.rest, 31);
+  FineTuneConfig ft;
+  ft.max_epochs = 40;
+  ft.patience = 40;
+  BellamyPredictor pred(pretrained, ft);
+  const auto queries = scaleout_sweep(fx.target_runs.front(), 64);
+  parallel::ThreadPool pool(2);
+
+  pred.fit({fx.target_runs.begin(), fx.target_runs.begin() + 3});
+  const auto first = pred.model().predict_batch_chunked(queries, &pool, 2);
+
+  pred.fit({fx.target_runs.begin(), fx.target_runs.begin() + 5});
+  pred.model().set_predict_chunk_threshold(0);
+  const auto chunked = pred.model().predict_batch_chunked(queries, &pool, 2);
+  EXPECT_EQ(chunked, pred.model().predict_batch(queries));
+  EXPECT_NE(chunked, first) << "the refit did not change any prediction";
+}
+
 // Tiny end-to-end experiment used by the determinism checks below.
 eval::CrossContextConfig tiny_config(std::size_t eval_threads) {
   eval::CrossContextConfig cfg;

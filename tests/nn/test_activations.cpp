@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "nn/gradcheck.hpp"
 #include "util/rng.hpp"
@@ -112,6 +113,20 @@ TEST(ActivationFactory, CreatesEveryKind) {
     auto act = make_activation(kind);
     ASSERT_NE(act, nullptr);
     EXPECT_NO_THROW(act->forward(Matrix(1, 1, 0.3)));
+  }
+}
+
+TEST(ActivationModules, InferEqualsEvalForwardBitForBit) {
+  util::Rng rng(6);
+  // Both SELU branches, both tanh/sigmoid tails, and the ReLU kink.
+  Matrix x = Matrix::randn(5, 7, rng) * 3.0;
+  x(0, 0) = 0.0;
+  for (auto kind : {Activation::kSelu, Activation::kTanh, Activation::kRelu,
+                    Activation::kSigmoid, Activation::kIdentity}) {
+    const ModulePtr act = make_activation(kind);
+    act->set_training(false);
+    const Matrix inferred = std::as_const(*act).infer(x);
+    EXPECT_EQ(inferred, act->forward(x)) << activation_name(kind);
   }
 }
 

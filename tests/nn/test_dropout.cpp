@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "util/rng.hpp"
@@ -22,6 +23,18 @@ TEST(AlphaDropout, EvalModeIsIdentity) {
   const Matrix x = Matrix{{1.0, -2.0, 3.0}};
   EXPECT_EQ(drop.forward(x), x);
   EXPECT_EQ(drop.backward(x), x);
+}
+
+TEST(AlphaDropout, InferEqualsEvalForwardBitForBit) {
+  util::Rng rng(9);
+  AlphaDropout drop(0.3, util::Rng(10));
+  const Matrix x = Matrix::randn(4, 6, rng);
+  // infer() is the evaluation-mode map whatever the training flag says.
+  drop.set_training(true);
+  const Matrix inferred = std::as_const(drop).infer(x);
+  drop.set_training(false);
+  EXPECT_EQ(inferred, drop.forward(x));
+  EXPECT_EQ(inferred, x);
 }
 
 TEST(AlphaDropout, ZeroRateIsIdentityEvenInTraining) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "nn/gradcheck.hpp"
 #include "util/rng.hpp"
 
@@ -124,6 +126,19 @@ TEST(Linear, TrainableFlagToggles) {
   for (auto* p : layer.parameters()) EXPECT_FALSE(p->trainable);
   layer.set_trainable(true);
   for (auto* p : layer.parameters()) EXPECT_TRUE(p->trainable);
+}
+
+TEST(Linear, InferEqualsEvalForwardBitForBit) {
+  util::Rng rng(15);
+  for (const bool with_bias : {true, false}) {
+    Linear layer(4, 3, with_bias, Init::kHeNormal, rng);
+    if (with_bias) layer.bias().value = Matrix::randn(1, 3, rng);
+    layer.set_training(false);
+    const Matrix x = Matrix::randn(6, 4, rng);
+    const Matrix inferred = std::as_const(layer).infer(x);
+    EXPECT_EQ(inferred, layer.forward(x)) << (with_bias ? "bias" : "no bias");
+    EXPECT_THROW(std::as_const(layer).infer(Matrix(1, 5)), std::invalid_argument);
+  }
 }
 
 TEST(Linear, Describe) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "nn/activations.hpp"
 #include "nn/dropout.hpp"
 #include "nn/gradcheck.hpp"
@@ -50,6 +52,18 @@ TEST(Sequential, GradCheckTwoLayerMlp) {
   const auto result = grad_check(seq, Matrix::randn(4, 3, rng));
   EXPECT_TRUE(result.ok(1e-5)) << "input err " << result.max_input_grad_error << " param err "
                                << result.max_param_grad_error;
+}
+
+TEST(Sequential, InferEqualsEvalForwardBitForBit) {
+  util::Rng rng(11);
+  Sequential seq = make_mlp(rng, /*with_dropout=*/true);
+  const Matrix x = Matrix::randn(6, 3, rng);
+  // Left in training mode: infer() must still skip dropout.
+  seq.set_training(true);
+  const Matrix inferred = std::as_const(seq).infer(x);
+  seq.set_training(false);
+  EXPECT_EQ(inferred, seq.forward(x));
+  EXPECT_EQ(Sequential().infer(x), x);
 }
 
 TEST(Sequential, SetTrainingPropagatesToDropout) {

@@ -215,5 +215,23 @@ TEST(ThreadPool, WorkerRecursiveSubmitCompletesOnSingleWorker) {
   EXPECT_EQ(ran.load(), (1 << 7) - 1);  // full binary tree of depth 6
 }
 
+TEST(ThreadPool, WaitIdleFromOwnWorkerThrowsLogicError) {
+  // The calling task counts as pending, so waiting for idleness from inside
+  // the pool could never return.  The pool lives on the heap and is leaked
+  // if the wait does not come back, so a regression fails this test instead
+  // of hanging the suite on a worker that never finishes.
+  auto* pool = new ThreadPool(2);
+  auto waited = pool->submit([pool] { pool->wait_idle(); });
+  if (waited.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    FAIL() << "wait_idle from a pool worker did not return";
+  }
+  EXPECT_THROW(waited.get(), std::logic_error);
+
+  // The worker survived the throw: the pool still runs tasks and idles.
+  EXPECT_EQ(pool->submit([] { return 7; }).get(), 7);
+  pool->wait_idle();
+  delete pool;
+}
+
 }  // namespace
 }  // namespace bellamy::parallel

@@ -14,6 +14,7 @@
 #include "core/trainer.hpp"
 #include "core/variants.hpp"
 #include "data/c3o_generator.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/serve.hpp"
 
 namespace bellamy::serve {
@@ -251,12 +252,35 @@ TEST(PredictionService, RefitHotSwapsBetweenMicroBatches) {
   core::finetune(reference, observed, cfg);
 
   EXPECT_EQ(service.predict(handle, query).unwrap(), reference.predict_one(query));
+}
 
-  const ServeMetrics m = service.metrics(handle).unwrap();
-  // Two distinct weight states were served: the pool deserialized a replica
-  // for each, and the second acquire observed the stamp change.
-  EXPECT_GE(m.replica_misses, 2u);
-  EXPECT_GE(m.replica_invalidations, 1u);
+// Prediction is const and writes nothing, so one model serves any number of
+// threads at once — the dispatchers, the drift monitor and chunked fan-out
+// all read the same snapshot.  Eight threads mix single-pass and chunked
+// batches on one const model; every result must equal the serial pass bit
+// for bit (and the TSan lane runs this suite to catch any hidden write).
+TEST(PredictionService, ConcurrentPredictOnOneConstModelIsBitIdentical) {
+  Fixture fx;
+  fx.model->set_predict_chunk_threshold(0);  // predict_batch stays single-pass
+  const core::BellamyModel& model = *fx.model;
+  const std::vector<data::JobRun> queries = fx.make_queries(97);  // ragged chunks
+  const std::vector<double> serial = model.predict_batch(queries);
+
+  constexpr std::size_t kThreads = 8;
+  constexpr int kRounds = 6;
+  parallel::ThreadPool pool(4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int r = 0; r < kRounds; ++r) {
+        if (model.predict_batch(queries) != serial) mismatches.fetch_add(1);
+        if (model.predict_batch_chunked(queries, &pool, 4) != serial) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // Adaptive flush: a trickle lane (inter-arrival far beyond the band) drops
