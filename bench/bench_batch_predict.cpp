@@ -7,9 +7,10 @@
 //   ./build/bench/bench_batch_predict [--threads=N] [--json=PATH|-]
 //
 // Reports predictions/sec per mode and the batched-over-loop speedup, and
-// verifies that every mode produces identical predictions.  ALL human-readable progress goes to stderr; --json writes
-// the measurements as a JSON document to the given path ("-" = stdout), so
-// the artifact is machine-parseable even when both streams land in one log.
+// verifies that every mode produces identical predictions.  ALL
+// human-readable progress goes to stderr; --json writes the measurements as
+// a JSON document to the given path ("-" = stdout), so the artifact is
+// machine-parseable even when both streams land in one log.
 
 #include <cmath>
 #include <cstdio>
