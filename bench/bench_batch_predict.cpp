@@ -41,6 +41,25 @@ std::vector<data::JobRun> make_queries(const data::JobRun& context_template, std
   return queries;
 }
 
+/// Every (mode, B) cell repeats its pass for at least this much wall time, so
+/// small cells are not timed over a handful of microseconds.
+constexpr double kMinCellSeconds = 0.2;
+
+/// Predictions per second of `pass`, one call of which predicts `b` queries,
+/// repeated until kMinCellSeconds have passed.
+template <typename Pass>
+double predictions_per_s(std::size_t b, Pass&& pass) {
+  util::Timer timer;
+  std::size_t passes = 0;
+  double seconds = 0.0;
+  do {
+    pass();
+    ++passes;
+    seconds = timer.seconds();
+  } while (seconds < kMinCellSeconds);
+  return static_cast<double>(b * passes) / seconds;
+}
+
 double max_abs_diff(const std::vector<double>& a, const std::vector<double>& b) {
   double worst = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -93,37 +112,25 @@ int main(int argc, char** argv) {
   for (const std::size_t b : {std::size_t{1}, std::size_t{16}, std::size_t{256},
                               std::size_t{4096}}) {
     const auto queries = make_queries(context_template, b);
-    // Aim for a comparable number of total predictions per mode so small
-    // batches still get stable timings.
-    const std::size_t reps = std::max<std::size_t>(1, 4096 / b);
 
     // Mode 1: per-sample loop (the pre-batching engine).
     std::vector<double> loop_preds(b);
-    util::Timer loop_timer;
-    for (std::size_t r = 0; r < reps; ++r) {
+    const double loop_rate = predictions_per_s(b, [&] {
       for (std::size_t i = 0; i < b; ++i) loop_preds[i] = model.predict_one(queries[i]);
-    }
-    const double loop_s = loop_timer.seconds();
+    });
 
     // Mode 2: one stacked forward pass.
     std::vector<double> batch_preds;
-    util::Timer batch_timer;
-    for (std::size_t r = 0; r < reps; ++r) batch_preds = model.predict_batch(queries);
-    const double batch_s = batch_timer.seconds();
+    const double batch_rate =
+        predictions_per_s(b, [&] { batch_preds = model.predict_batch(queries); });
 
     // Mode 3: contiguous chunks across the pool, every chunk predicting on
     // the same const model.
     std::vector<double> chunked_preds;
-    util::Timer chunked_timer;
-    for (std::size_t r = 0; r < reps; ++r) {
+    const double chunked_rate = predictions_per_s(b, [&] {
       chunked_preds = model.predict_batch_chunked(queries, &pool, num_threads);
-    }
-    const double chunked_s = chunked_timer.seconds();
+    });
 
-    const double total = static_cast<double>(b * reps);
-    const double loop_rate = total / std::max(loop_s, 1e-12);
-    const double batch_rate = total / std::max(batch_s, 1e-12);
-    const double chunked_rate = total / std::max(chunked_s, 1e-12);
     const double speedup = batch_rate / std::max(loop_rate, 1e-12);
     if (b == 256) speedup_256 = speedup;
 

@@ -123,9 +123,9 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  util::Timer warm_timer;
+  util::Timer warm_start_timer;
   const auto warm = b.ex.open(fresh_key);  // new context: base reuse + derive
-  const double warm_ms = warm_timer.seconds() * 1e3;
+  const double warm_ms = warm_start_timer.seconds() * 1e3;
   if (!warm.ok()) {
     std::fprintf(stderr, "warm start failed: %s\n", warm.error_text().c_str());
     return 1;

@@ -1,10 +1,11 @@
 // Throughput of the serving facade: N client threads hammer ONE published
 // model through the micro-batching PredictionService, with coalescing
 // disabled (max_batch = 1 — every request runs its own forward pass) vs
-// enabled at several flush deadlines.  This is the acceptance bench for the
-// serve subsystem: coalescing must beat batch-size-1 aggregate throughput at
-// >= 4 client threads, and every served value must be bit-identical to a
-// serial predict loop over the same query stream.
+// enabled (max_batch = 64).  This is the acceptance bench for the serve
+// subsystem: coalescing must beat batch-size-1 aggregate throughput at 4
+// client threads, and every served value must be bit-identical to a serial
+// predict loop over the same query stream.  The binary exits 1 if either
+// fails.
 //
 //   ./build/bench/bench_serve [--requests=N] [--workers=N] [--json=PATH|-]
 //
@@ -14,16 +15,10 @@
 // ALL human-readable progress goes to stderr; --json writes the
 // machine-parseable document ("-" = stdout).
 //
-// Beyond the throughput grid (PR 4) the bench exercises the adaptive
-// scheduler (PR 5):
-//   * an "adaptive" cell runs the 4-client workload with the flush band
-//     enabled and reports the per-handle scheduler metrics (effective flush
-//     deadline, inter-arrival EWMA, flush-reason counters, dispatch lag /
-//     starvation counters) in the JSON document, and
-//   * a "qos" scenario saturates a kBulk handle while probing a
-//     kInteractive one, reporting the interactive lane's p50/p99 latency
-//     loaded vs unloaded plus both lanes' starvation counters — the
-//     measured form of the starvation acceptance test.
+// Beyond the throughput grid, a "qos" scenario saturates a kBulk handle
+// while probing a kInteractive one, reporting the interactive lane's
+// p50/p99 latency loaded vs unloaded plus both lanes' starvation counters —
+// the measured form of the starvation acceptance test.
 // See docs/BENCHMARKS.md for the full --json schema.
 
 #include <algorithm>
@@ -148,29 +143,23 @@ int main(int argc, char** argv) {
   const serve::ModelHandle handle = registry.publish({"sgd", "bench"}, model).unwrap();
 
   struct Mode {
-    const char* name;     ///< JSON key prefix
+    const char* name;  ///< JSON key prefix
     std::size_t max_batch;
-    std::chrono::microseconds deadline;
   };
-  const std::vector<Mode> modes = {
-      {"batch1", 1, std::chrono::microseconds(100)},
-      {"coalesced_100us", 64, std::chrono::microseconds(100)},
-      {"coalesced_500us", 64, std::chrono::microseconds(500)},
-      {"coalesced_2000us", 64, std::chrono::microseconds(2000)},
-  };
+  const std::vector<Mode> modes = {{"batch1", 1}, {"coalesced", 64}};
   const std::vector<std::size_t> client_counts = {1, 2, 4, 8};
 
   std::fprintf(stderr, "bench_serve: %zu requests/client, %zu dispatcher worker(s)\n",
                requests, workers);
-  std::fprintf(stderr, "%8s %14s %18s %18s %18s %10s\n", "clients", "batch1 p/s",
-               "coal 100us p/s", "coal 500us p/s", "coal 2000us p/s", "speedup");
+  std::fprintf(stderr, "%8s %14s %16s %10s\n", "clients", "batch1 p/s", "coalesced p/s",
+               "speedup");
 
   bool all_identical = true;
   double speedup_at_4 = 0.0;
   struct Row {
     std::size_t clients;
     std::vector<double> per_s;  ///< one per mode
-    double speedup;             ///< coalesced_500us / batch1
+    double speedup;             ///< coalesced / batch1
   };
   std::vector<Row> rows;
   for (const std::size_t clients : client_counts) {
@@ -179,7 +168,6 @@ int main(int argc, char** argv) {
     for (const Mode& mode : modes) {
       serve::ServeOptions cfg;
       cfg.max_batch = mode.max_batch;
-      cfg.flush_deadline = mode.deadline;
       cfg.workers = workers;
       cfg.max_queue = kWindow * clients + 64;
       serve::PredictionService service(registry, cfg);
@@ -192,42 +180,11 @@ int main(int argc, char** argv) {
       }
       row.per_s.push_back(cell.per_s);
     }
-    row.speedup = row.per_s[2] / std::max(row.per_s[0], 1e-12);
+    row.speedup = row.per_s[1] / std::max(row.per_s[0], 1e-12);
     if (clients == 4) speedup_at_4 = row.speedup;
-    std::fprintf(stderr, "%8zu %14.0f %18.0f %18.0f %18.0f %9.2fx\n", clients, row.per_s[0],
-                 row.per_s[1], row.per_s[2], row.per_s[3], row.speedup);
+    std::fprintf(stderr, "%8zu %14.0f %16.0f %9.2fx\n", clients, row.per_s[0], row.per_s[1],
+                 row.speedup);
     rows.push_back(std::move(row));
-  }
-
-  // ---- adaptive flush cell: the 4-client workload with the band enabled,
-  // plus the per-handle scheduler metrics the static grid cannot show.
-  serve::ServeMetrics adaptive_metrics;
-  CellResult adaptive_cell;
-  {
-    serve::ServeOptions cfg;
-    cfg.max_batch = 64;
-    cfg.flush_deadline = std::chrono::microseconds(500);
-    cfg.flush_deadline_min = std::chrono::microseconds(50);
-    cfg.flush_deadline_max = std::chrono::microseconds(2000);
-    cfg.workers = workers;
-    cfg.max_queue = kWindow * 4 + 64;
-    serve::PredictionService service(registry, cfg);
-    adaptive_cell =
-        run_cell(service, handle, context_template, 4, requests, expected_by_scaleout);
-    all_identical = all_identical && adaptive_cell.identical;
-    adaptive_metrics = service.metrics(handle).unwrap();
-    std::fprintf(stderr,
-                 "adaptive band [50, 2000]us @ 4 clients: %.0f p/s, effective deadline "
-                 "%llu us (ewma %.1f us), %llu batches (%llu full / %llu deadline), "
-                 "%llu starved, max dispatch lag %llu us\n",
-                 adaptive_cell.per_s,
-                 static_cast<unsigned long long>(adaptive_metrics.effective_flush_deadline_us),
-                 adaptive_metrics.interarrival_ewma_us,
-                 static_cast<unsigned long long>(adaptive_metrics.batches),
-                 static_cast<unsigned long long>(adaptive_metrics.coalesced),
-                 static_cast<unsigned long long>(adaptive_metrics.deadline_flushes),
-                 static_cast<unsigned long long>(adaptive_metrics.starved_flushes),
-                 static_cast<unsigned long long>(adaptive_metrics.max_dispatch_lag_us));
   }
 
   // ---- QoS scenario: a saturated kBulk handle next to a probed
@@ -247,7 +204,6 @@ int main(int argc, char** argv) {
     serve::ServeOptions cfg;
     cfg.max_batch = 16;
     cfg.max_queue = 256;
-    cfg.flush_deadline = std::chrono::microseconds(500);
     cfg.workers = 1;  // one dispatcher makes cross-handle ordering decisive
     serve::PredictionService service(registry, cfg);
     service.set_qos(bulk, serve::HandleQos{serve::QosClass::kBulk, 1.0}).expect();
@@ -346,25 +302,6 @@ int main(int argc, char** argv) {
                      i + 1 < rows.size() ? "," : "");
       }
       std::fprintf(f, "  ],\n");
-      const serve::ServeMetrics& am = adaptive_metrics;
-      std::fprintf(
-          f,
-          "  \"adaptive\": {\"clients\": 4, \"adaptive_per_s\": %.0f,\n"
-          "    \"metrics\": {\"effective_flush_deadline_us\": %llu, "
-          "\"interarrival_ewma_us\": %.1f,\n"
-          "      \"batches\": %llu, \"coalesced\": %llu, \"deadline_flushes\": %llu, "
-          "\"drain_flushes\": %llu,\n"
-          "      \"coalesced_requests\": %llu, \"starved_flushes\": %llu, "
-          "\"max_dispatch_lag_us\": %llu}},\n",
-          adaptive_cell.per_s,
-          static_cast<unsigned long long>(am.effective_flush_deadline_us),
-          am.interarrival_ewma_us, static_cast<unsigned long long>(am.batches),
-          static_cast<unsigned long long>(am.coalesced),
-          static_cast<unsigned long long>(am.deadline_flushes),
-          static_cast<unsigned long long>(am.drain_flushes),
-          static_cast<unsigned long long>(am.coalesced_requests),
-          static_cast<unsigned long long>(am.starved_flushes),
-          static_cast<unsigned long long>(am.max_dispatch_lag_us));
       std::fprintf(
           f,
           "  \"qos\": {\"interactive_unloaded_p50_us\": %.1f, "
@@ -388,5 +325,9 @@ int main(int argc, char** argv) {
       }
     }
   }
-  return all_identical ? 0 : 1;
+  const bool coalescing_pays = speedup_at_4 > 1.0;
+  if (!coalescing_pays) {
+    std::fprintf(stderr, "FAIL: coalescing does not beat batch-size-1 at 4 clients\n");
+  }
+  return all_identical && coalescing_pays ? 0 : 1;
 }

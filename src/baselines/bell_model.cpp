@@ -41,11 +41,12 @@ double InterpolationModel::predict_scaleout(double scale_out) const {
   return y0 + slope * (scale_out - x0);
 }
 
-double InterpolationModel::predict(const data::JobRun& query) {
+double InterpolationModel::predict(const data::JobRun& query) const {
   return predict_scaleout(static_cast<double>(query.scale_out));
 }
 
-std::vector<double> InterpolationModel::predict_batch(const std::vector<data::JobRun>& queries) {
+std::vector<double> InterpolationModel::predict_batch(
+    const std::vector<data::JobRun>& queries) const {
   std::vector<double> out;
   out.reserve(queries.size());
   for (const data::JobRun& q : queries) {
@@ -104,11 +105,12 @@ void BellModel::fit(const std::vector<data::JobRun>& runs) {
   }
 }
 
-double BellModel::predict(const data::JobRun& query) {
+double BellModel::predict(const data::JobRun& query) const {
   return use_parametric_ ? parametric_.predict(query) : non_parametric_.predict(query);
 }
 
-std::vector<double> BellModel::predict_batch(const std::vector<data::JobRun>& queries) {
+std::vector<double> BellModel::predict_batch(
+    const std::vector<data::JobRun>& queries) const {
   return use_parametric_ ? parametric_.predict_batch(queries)
                          : non_parametric_.predict_batch(queries);
 }

@@ -20,8 +20,8 @@ namespace bellamy::baselines {
 class InterpolationModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
+  double predict(const data::JobRun& query) const override;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) const override;
   std::size_t min_training_points() const override { return 2; }
   std::string name() const override { return "interp"; }
 
@@ -34,9 +34,9 @@ class InterpolationModel : public data::RuntimeModel {
 class BellModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
+  double predict(const data::JobRun& query) const override;
   /// Delegates the whole batch to the CV-selected sub-model in one call.
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) const override;
   std::size_t min_training_points() const override { return 3; }
   std::string name() const override { return "Bell"; }
 

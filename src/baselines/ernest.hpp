@@ -20,9 +20,9 @@ std::array<double, 4> ernest_features(double scale_out);
 class ErnestModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
+  double predict(const data::JobRun& query) const override;
   /// Evaluates the fitted closed form over all queries.
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) const override;
   std::size_t min_training_points() const override { return 1; }
   std::string name() const override { return "NNLS"; }
 

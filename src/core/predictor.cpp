@@ -60,11 +60,12 @@ void BellamyPredictor::fit(const std::vector<data::JobRun>& runs) {
   last_fit_.fit_seconds = timer.seconds();
 }
 
-double BellamyPredictor::predict(const data::JobRun& query) {
+double BellamyPredictor::predict(const data::JobRun& query) const {
   return fitted_model("predict").predict_one(query);
 }
 
-std::vector<double> BellamyPredictor::predict_batch(const std::vector<data::JobRun>& queries) {
+std::vector<double> BellamyPredictor::predict_batch(
+    const std::vector<data::JobRun>& queries) const {
   return fitted_model("predict_batch").predict_batch(queries);
 }
 

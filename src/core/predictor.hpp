@@ -41,9 +41,9 @@ class BellamyPredictor : public data::RuntimeModel {
                    std::string name = "Bellamy(pretrained)");
 
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
+  double predict(const data::JobRun& query) const override;
   /// One stacked forward pass through the fitted network for all queries.
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) const override;
   std::size_t min_training_points() const override { return pretrained_ ? 0 : 1; }
   std::string name() const override { return name_; }
 

@@ -6,7 +6,7 @@
 
 namespace bellamy::core {
 
-ResourceSelection select_scaleout(data::RuntimeModel& model,
+ResourceSelection select_scaleout(const data::RuntimeModel& model,
                                   const data::JobRun& context_template,
                                   std::vector<int> candidate_scaleouts,
                                   double target_runtime_s) {

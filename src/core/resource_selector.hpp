@@ -27,7 +27,7 @@ struct ResourceSelection {
 /// ignored) at every candidate scale-out.  Picks the smallest scale-out whose
 /// prediction is <= target_runtime_s; if none qualifies, picks the candidate
 /// with the fastest predicted runtime.
-ResourceSelection select_scaleout(data::RuntimeModel& model,
+ResourceSelection select_scaleout(const data::RuntimeModel& model,
                                   const data::JobRun& context_template,
                                   std::vector<int> candidate_scaleouts,
                                   double target_runtime_s);

@@ -2,7 +2,7 @@
 
 namespace bellamy::data {
 
-std::vector<double> RuntimeModel::predict_batch(const std::vector<JobRun>& queries) {
+std::vector<double> RuntimeModel::predict_batch(const std::vector<JobRun>& queries) const {
   std::vector<double> out;
   out.reserve(queries.size());
   for (const JobRun& q : queries) out.push_back(predict(q));

@@ -21,14 +21,14 @@ class RuntimeModel {
   virtual void fit(const std::vector<JobRun>& runs) = 0;
 
   /// Predict the runtime (seconds) for the query's context and scale-out.
-  virtual double predict(const JobRun& query) = 0;
+  virtual double predict(const JobRun& query) const = 0;
 
   /// Predict runtimes for a whole batch of queries at once.  The base
   /// implementation loops over predict(); models with a vectorized forward
   /// (Bellamy, the closed-form baselines) override it to answer all queries
   /// in one pass.  Returns one value per query, in order; an empty batch
   /// yields an empty vector.  Must behave identically to the per-query loop.
-  virtual std::vector<double> predict_batch(const std::vector<JobRun>& queries);
+  virtual std::vector<double> predict_batch(const std::vector<JobRun>& queries) const;
 
   /// Smallest number of samples fit() accepts. 0 means the model can be
   /// used without any context data (a pre-trained Bellamy model).

@@ -218,10 +218,9 @@ bool ServeServer::dispatch(const std::shared_ptr<Connection>& conn, const FrameV
       Connection::Outbound item;
       item.kind = Connection::Outbound::Kind::kPredictMany;
       item.request_id = req.request_id;
-      item.futures.reserve(req.queries.size());
-      for (const data::JobRun& query : req.queries) {
-        item.futures.push_back(service_.predict_async(handle.value(), query));
-      }
+      // One enqueue for the whole frame, so a sweep is not split into a
+      // batch per row by an idle dispatcher.
+      item.futures = service_.predict_many_async(handle.value(), req.queries);
       return conn->push(std::move(item), options_.max_pipeline);
     }
 

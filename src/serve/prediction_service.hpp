@@ -2,11 +2,13 @@
 // PredictionService: the concurrent front door of the serve layer.
 //
 // N client threads call predict(handle, query) (or predict_async for a
-// future).  Requests land in a bounded per-handle lane; dispatcher workers
-// coalesce whatever is pending into a micro-batch and flush it when either
-// the batch is full (max_batch) or the lane's flush deadline expires.  A
-// micro-batch executes ONE stacked forward pass on the handle's current
-// immutable model snapshot (see ModelRegistry), so
+// future).  Requests land in a bounded per-handle lane; dispatch is
+// WORK-CONSERVING: a lane is ready as soon as it holds a request, an idle
+// dispatcher takes the most urgent ready lane at once, and a micro-batch is
+// whatever queued there while the dispatchers were busy (up to max_batch).
+// Nothing waits on a timer.  A micro-batch executes ONE stacked forward
+// pass on the handle's current immutable model snapshot (see ModelRegistry),
+// so
 //
 //   * concurrent callers share forward passes instead of serializing on a
 //     model mutex (a batch of k requests costs ~1 forward, not k), and all
@@ -15,25 +17,22 @@
 //     batch picks up the new snapshot, while in-flight batches finish on
 //     the old one.
 //
-// Scheduling (this is the adaptive, fair core — see docs/ARCHITECTURE.md):
+// A multi-row call (predict_many, predict_many_async) enqueues all of its
+// rows under one lock hold, so an idle dispatcher cannot split a sweep into
+// a batch per row.
 //
-//   * ADAPTIVE FLUSH: each lane tracks an EWMA of request inter-arrival
-//     time.  When the adaptive band [flush_deadline_min, flush_deadline_max]
-//     is enabled, the flush deadline is the expected time to fill a batch at
-//     the observed rate, clamped to the band — a bursty lane waits long
-//     enough to coalesce aggressively, a trickle lane (which could never
-//     fill a batch inside the band) answers near-immediately at the band
-//     floor.  The effective deadline is exposed through ServeMetrics.
+// Scheduling across handles (see docs/ARCHITECTURE.md):
+//
 //   * QoS LANES: every lane carries a HandleQos (kInteractive/kBulk class +
-//     weight).  The weight divides the flush deadline, so urgent lanes flush
-//     sooner and rank earlier.
-//   * CROSS-HANDLE DISPATCH: ready lanes enter a central deadline-ordered
-//     min-heap (earliest-virtual-deadline-first; class breaks ties) instead
-//     of the old id-order lane scan.  A lane's virtual deadline grows from
-//     its OLDEST request's arrival time, so a saturated hot lane — whose
-//     front is always recent — can never starve a cold lane whose deadline
-//     has expired.  Dispatch lag past the virtual deadline is metered
-//     (max_dispatch_lag_us / starved_flushes).
+//     weight).  A lane's rank is its OLDEST request's arrival plus a rank
+//     slack of 500 us divided by the weight (capped by max_lag), so urgent
+//     lanes rank earlier.
+//   * CROSS-HANDLE DISPATCH: ready lanes sit in one rank-ordered min-heap
+//     (earliest-deadline-first; class breaks ties).  Because the rank grows
+//     from the front request's arrival, a saturated hot lane — whose front
+//     is always recent — can never starve a cold lane that has been waiting.
+//     Dispatch lag past the rank is metered (max_dispatch_lag_us /
+//     starved_flushes).
 //
 // Coalescing is bit-transparent: predict_batch is certified bit-identical to
 // the per-sample loop, and a model built from a checkpoint predicts
@@ -53,8 +52,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <queue>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -66,10 +65,10 @@
 namespace bellamy::serve {
 
 /// QoS class of a lane.  The class picks the tie-break between two lanes
-/// whose virtual deadlines collide and documents intent; the weight does the
+/// whose ranks collide and documents intent; the weight does the
 /// quantitative work (see HandleQos::weight).
 enum class QosClass : std::uint8_t {
-  kInteractive = 0,  ///< latency-sensitive traffic; wins deadline ties
+  kInteractive = 0,  ///< latency-sensitive traffic; wins rank ties
   kBulk = 1,         ///< throughput traffic; happy to coalesce
 };
 
@@ -81,46 +80,26 @@ const char* to_string(QosClass qos);
 struct HandleQos {
   /// Scheduling class; defaults to interactive (the pre-QoS behavior).
   QosClass qos = QosClass::kInteractive;
-  /// Urgency multiplier, > 0.  The lane's flush deadline is DIVIDED by the
-  /// weight, so weight 4 flushes (and ranks) 4x sooner and weight 0.5 is
-  /// content to wait twice as long.  1.0 = neutral.
+  /// Urgency multiplier, > 0.  The lane's rank slack is DIVIDED by the
+  /// weight, so weight 4 ranks a request as if it had waited 4x longer and
+  /// weight 0.5 is content to rank behind.  1.0 = neutral.
   double weight = 1.0;
-  /// Aging boost: a hard ceiling on the lane's effective flush deadline,
-  /// applied AFTER the weight division (0 = disabled).  A down-weighted
-  /// kBulk lane under extreme interactive load can otherwise see its
-  /// deadline stretched arbitrarily (long band deadline / small weight);
-  /// max_lag guarantees the lane ranks no worse than a request that has
-  /// already waited this long, bounding its dispatch lag.
+  /// Aging boost: a hard ceiling on the lane's rank slack, applied AFTER the
+  /// weight division (0 = disabled).  A down-weighted kBulk lane under
+  /// extreme interactive load can otherwise see its slack stretched
+  /// arbitrarily (slack / small weight); max_lag guarantees the lane ranks
+  /// no worse than a request that has already waited this long, bounding
+  /// its dispatch lag.
   std::chrono::microseconds max_lag{0};
 };
 
 /// Tunables of a PredictionService, fixed at construction.
 struct ServeOptions {
-  /// Flush a micro-batch at this many pending requests.  1 disables
+  /// Largest micro-batch a dispatcher takes from a lane.  1 disables
   /// coalescing (every request runs its own forward pass).
   std::size_t max_batch = 64;
   /// Bounded queue capacity per handle; producers block when it is full.
   std::size_t max_queue = 1024;
-  /// Static flush deadline: flush a partial batch once its oldest request
-  /// has waited this long.  Used verbatim while the adaptive band is
-  /// disabled, and as the effective deadline of a lane that has not seen
-  /// two requests yet (no inter-arrival sample).
-  std::chrono::microseconds flush_deadline{500};
-  /// Adaptive flush band.  When flush_deadline_max > 0, each lane's
-  /// effective deadline adapts inside [flush_deadline_min,
-  /// flush_deadline_max]: the expected time to fill max_batch at the lane's
-  /// EWMA arrival rate, clamped to the band — except that a lane too slow to
-  /// fill a batch within the band at all drops to the band FLOOR (waiting
-  /// would add latency without adding fill).  flush_deadline_max == 0 (the
-  /// default) keeps the static deadline above.
-  std::chrono::microseconds flush_deadline_min{50};
-  std::chrono::microseconds flush_deadline_max{0};
-  /// Smoothing factor of the per-lane inter-arrival EWMA in (0, 1]; higher
-  /// adapts faster, lower rides out bursts.
-  double ewma_alpha = 0.2;
-  /// A batch dispatched more than this far past its virtual deadline counts
-  /// as starved (ServeMetrics::starved_flushes).  Purely diagnostic.
-  std::chrono::microseconds starvation_lag{10000};
   /// Scheduling policy for lanes that never called set_qos().
   HandleQos default_qos{};
   /// Dispatcher threads executing micro-batches (>= 1).
@@ -136,17 +115,18 @@ struct ServeOptions {
 ///   requests  == responses                       (nothing lost or invented)
 ///   coalesced + deadline_flushes + drain_flushes == batches
 ///
-/// `coalesced` counts SIZE-triggered flushes (the batch filled to
-/// max_batch), `deadline_flushes` counts deadline-triggered partial flushes,
-/// `drain_flushes` counts batches pushed out by stop().  Requests that
-/// shared a batch with others are tallied separately in coalesced_requests.
+/// `coalesced` counts full batches (max_batch requests), `deadline_flushes`
+/// counts partial batches taken while the service runs (the name predates
+/// work-conserving dispatch), `drain_flushes` counts partial batches taken
+/// by stop()'s drain.  Requests that shared a batch with others are tallied
+/// separately in coalesced_requests.
 struct ServeMetrics {
   std::uint64_t requests = 0;            ///< accepted into the queue
   std::uint64_t responses = 0;           ///< futures fulfilled (ok or error)
   std::uint64_t batches = 0;             ///< micro-batches executed
-  std::uint64_t coalesced = 0;           ///< batches flushed full (size-triggered)
-  std::uint64_t deadline_flushes = 0;    ///< partial batches flushed by deadline
-  std::uint64_t drain_flushes = 0;       ///< batches flushed by stop() drain
+  std::uint64_t coalesced = 0;           ///< full batches (max_batch requests)
+  std::uint64_t deadline_flushes = 0;    ///< partial batches
+  std::uint64_t drain_flushes = 0;       ///< partial batches taken by stop()'s drain
   std::uint64_t coalesced_requests = 0;  ///< requests that shared a batch with others
   std::uint64_t max_queue_depth = 0;     ///< high-water mark of the pending queue
   std::uint64_t queue_depth = 0;         ///< pending requests right now
@@ -158,16 +138,18 @@ struct ServeMetrics {
   std::uint64_t replica_misses = 0;
   std::uint64_t replica_invalidations = 0;
 
-  // -- scheduler introspection (PR 5) --
-  /// Flush deadline the lane's NEXT batch will get (static, or adaptive from
-  /// the EWMA below, divided by the QoS weight).
+  // -- scheduler introspection --
+  /// The lane's rank slack: 500 us divided by the QoS weight, capped by
+  /// max_lag.  A lane ranks at its front request's arrival plus this.
   std::uint64_t effective_flush_deadline_us = 0;
-  /// EWMA of request inter-arrival time (0 until two requests arrived).
+  /// Retired: the inter-arrival EWMA of the deleted adaptive flush band.
+  /// Always 0; kept only because the MetricsResponse wire layout carries it
+  /// until the next wire version bump.
   double interarrival_ewma_us = 0.0;
-  /// Worst observed dispatch lag: how far past its virtual deadline a batch
-  /// of this lane started executing.  Bounded lag == no starvation.
+  /// Worst observed dispatch lag: how far past its rank a batch of this
+  /// lane started executing.  Bounded lag == no starvation.
   std::uint64_t max_dispatch_lag_us = 0;
-  /// Batches whose dispatch lag exceeded ServeOptions::starvation_lag.
+  /// Batches whose dispatch lag exceeded 10 ms.
   std::uint64_t starved_flushes = 0;
 
   // -- request-latency percentiles (PR 6) --
@@ -225,13 +207,20 @@ class PredictionService {
   std::future<ServeResult<double>> predict_async(const ModelHandle& handle,
                                                  const data::JobRun& query);
 
-  /// Enqueue all queries (they coalesce like any other traffic) and wait.
-  /// Fails with the first per-request error if any; an empty batch is ok.
+  /// Enqueue all queries at once and return one future per query, in order.
+  /// The rows enter the lane under one lock hold (taken again only while the
+  /// lane is full), so they ride in as few micro-batches as max_batch allows.
+  /// Every other predict entry point enqueues through here.
+  std::vector<std::future<ServeResult<double>>> predict_many_async(
+      const ModelHandle& handle, std::span<const data::JobRun> queries);
+
+  /// predict_many_async, then wait.  Fails with the first per-request error
+  /// if any; an empty batch is ok.
   ServeResult<std::vector<double>> predict_many(const ModelHandle& handle,
-                                                const std::vector<data::JobRun>& queries);
+                                                std::span<const data::JobRun> queries);
 
   /// Set the handle's scheduling policy (class + weight); takes effect from
-  /// the next batch the lane opens.  Fails with kUnknownModel for a retired
+  /// the next time the lane is ranked.  Fails with kUnknownModel for a retired
   /// handle and kInvalidArgument for a non-positive/non-finite weight.
   ServeResult<Unit> set_qos(const ModelHandle& handle, HandleQos qos);
 
@@ -256,59 +245,36 @@ class PredictionService {
     Clock::time_point enqueued;
   };
 
-  /// Why a lane was marked ready to flush.
-  enum class FlushReason : std::uint8_t { kSize, kDeadline, kDrain };
-
   /// Pending traffic of one handle.
   struct Lane {
     std::deque<Request> queue;
     ServeMetrics metrics;
     LatencyHistogram latency;  ///< enqueue-to-response, microseconds
     HandleQos qos;
-    /// EWMA of inter-arrival time in microseconds (0 = fewer than two
-    /// requests seen).
-    double ewma_interarrival_us = 0.0;
-    Clock::time_point last_arrival{};
-    bool saw_arrival = false;
-    /// Scheduling state: a lane is IDLE (empty), ARMED (non-empty, timer
-    /// set at `virtual_deadline`), or READY (in the ready heap).  `token`
-    /// invalidates stale heap entries: it bumps whenever the lane's front —
-    /// and therefore its deadline — changes.
+    /// In the ready heap.  Set when the lane turns non-empty, cleared when a
+    /// dispatcher takes its batch, so a lane sits in the heap at most once.
     bool ready = false;
-    std::uint64_t token = 0;
-    FlushReason reason = FlushReason::kDeadline;
-    Clock::time_point virtual_deadline{};
   };
 
-  /// Lazy-deleted entry of the timer heap (earliest deadline first) and the
-  /// ready heap (earliest virtual deadline first, interactive wins ties).
-  struct HeapEntry {
-    Clock::time_point when;
+  /// Ready-heap entry: earliest rank (front arrival + rank slack) first,
+  /// interactive wins ties.
+  struct ReadyLane {
+    Clock::time_point rank;
     std::uint8_t qos_class = 0;
     std::uint64_t lane_id = 0;
-    std::uint64_t token = 0;
-    bool operator>(const HeapEntry& other) const {
-      if (when != other.when) return when > other.when;
+    bool operator>(const ReadyLane& other) const {
+      if (rank != other.rank) return rank > other.rank;
       if (qos_class != other.qos_class) return qos_class > other.qos_class;
       return lane_id > other.lane_id;
     }
   };
-  using MinHeap = std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>;
 
   void worker_loop();
-  /// Flush deadline the lane's next batch gets, in microseconds (adaptive or
-  /// static, divided by the QoS weight; always >= 1).
-  std::uint64_t effective_deadline_us(const Lane& lane) const;
-  /// Mark a non-ready, non-empty lane ready and push it onto the ready heap.
-  /// Caller holds the service mutex.
-  void mark_ready(std::uint64_t id, Lane& lane, FlushReason reason);
-  /// Arm the deadline timer for a non-empty, non-ready lane (front changed).
-  /// Caller holds the service mutex.
-  void arm_timer(std::uint64_t id, Lane& lane);
-  /// Promote lanes whose deadline expired from the timer heap to the ready
-  /// heap; returns the earliest still-armed deadline.  Caller holds the
-  /// service mutex.
-  std::optional<Clock::time_point> promote_expired(Clock::time_point now);
+  /// The lane's rank slack in microseconds (>= 1).
+  static std::uint64_t rank_slack_us(const HandleQos& qos);
+  /// Rank a non-empty lane by its front request and push it onto the ready
+  /// heap.  Caller holds the service mutex.
+  void mark_ready(std::uint64_t id, Lane& lane);
   /// Garbage-collect drained lanes of erased handles.  Caller holds the
   /// service mutex.
   void gc_lanes();
@@ -327,8 +293,8 @@ class PredictionService {
   std::condition_variable work_cv_;   ///< signals workers: traffic or stop
   std::condition_variable space_cv_;  ///< signals producers: queue has room
   std::map<std::uint64_t, Lane> lanes_;
-  MinHeap ready_;                     ///< flushable lanes, earliest deadline first
-  MinHeap timers_;                    ///< armed flush deadlines of waiting lanes
+  /// Non-empty lanes, earliest rank first.
+  std::priority_queue<ReadyLane, std::vector<ReadyLane>, std::greater<>> ready_;
   std::uint64_t dispatches_ = 0;      ///< total batches taken (drives lane GC cadence)
   bool stopping_ = false;
   std::vector<std::thread> workers_;

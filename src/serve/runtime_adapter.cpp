@@ -15,7 +15,7 @@ ServeResult<Unit> try_fit(data::RuntimeModel& model, const std::vector<data::Job
   }
 }
 
-ServeResult<double> try_predict(data::RuntimeModel& model, const data::JobRun& query) {
+ServeResult<double> try_predict(const data::RuntimeModel& model, const data::JobRun& query) {
   try {
     return model.predict(query);
   } catch (const std::invalid_argument& e) {
@@ -25,7 +25,7 @@ ServeResult<double> try_predict(data::RuntimeModel& model, const data::JobRun& q
   }
 }
 
-ServeResult<std::vector<double>> try_predict_batch(data::RuntimeModel& model,
+ServeResult<std::vector<double>> try_predict_batch(const data::RuntimeModel& model,
                                                    const std::vector<data::JobRun>& queries) {
   try {
     return model.predict_batch(queries);

@@ -18,10 +18,10 @@ namespace bellamy::serve {
 /// kInternalError for anything else the model layer throws.
 ServeResult<Unit> try_fit(data::RuntimeModel& model, const std::vector<data::JobRun>& runs);
 /// Predict one query; kNotFitted when the model has not been fitted yet.
-ServeResult<double> try_predict(data::RuntimeModel& model, const data::JobRun& query);
+ServeResult<double> try_predict(const data::RuntimeModel& model, const data::JobRun& query);
 /// Predict a batch (one stacked pass for models that support it); same
 /// error mapping as try_predict.
-ServeResult<std::vector<double>> try_predict_batch(data::RuntimeModel& model,
+ServeResult<std::vector<double>> try_predict_batch(const data::RuntimeModel& model,
                                                    const std::vector<data::JobRun>& queries);
 
 }  // namespace bellamy::serve

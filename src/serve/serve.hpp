@@ -19,8 +19,8 @@
 // Every operation returns a ServeResult instead of throwing; ServingModel
 // adapts a handle back to the exception-based data::RuntimeModel interface
 // for the evaluation harness and the resource selector.  The scheduler
-// (adaptive flush deadlines, QoS lanes, cross-handle EDF dispatch,
-// background refits) is documented in docs/ARCHITECTURE.md.
+// (work-conserving dispatch, QoS lanes, cross-handle EDF order, background
+// refits) is documented in docs/ARCHITECTURE.md.
 //
 // The service must be stopped/destroyed before the registry, and the
 // registry before the store.

@@ -21,11 +21,12 @@ void ServingModel::fit(const std::vector<data::JobRun>& runs) {
   last_fit_ = registry_.refit(handle_, runs, finetune_config_, strategy_).unwrap();
 }
 
-double ServingModel::predict(const data::JobRun& query) {
+double ServingModel::predict(const data::JobRun& query) const {
   return service_.predict(handle_, query).unwrap();
 }
 
-std::vector<double> ServingModel::predict_batch(const std::vector<data::JobRun>& queries) {
+std::vector<double> ServingModel::predict_batch(
+    const std::vector<data::JobRun>& queries) const {
   return service_.predict_many(handle_, queries).unwrap();
 }
 

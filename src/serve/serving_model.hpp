@@ -41,8 +41,8 @@ class ServingModel : public data::RuntimeModel {
   /// reuse).  Serving hot-swaps; in-flight micro-batches finish on the old
   /// weights.
   void fit(const std::vector<data::JobRun>& runs) override;
-  double predict(const data::JobRun& query) override;
-  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) override;
+  double predict(const data::JobRun& query) const override;
+  std::vector<double> predict_batch(const std::vector<data::JobRun>& queries) const override;
   std::size_t min_training_points() const override { return 0; }
   std::string name() const override { return name_; }
 

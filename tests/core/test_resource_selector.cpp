@@ -13,7 +13,7 @@ namespace {
 class FakeModel : public data::RuntimeModel {
  public:
   void fit(const std::vector<data::JobRun>&) override {}
-  double predict(const data::JobRun& q) override {
+  double predict(const data::JobRun& q) const override {
     const double x = q.scale_out;
     return 600.0 / x + 10.0 * x;
   }

@@ -59,7 +59,6 @@ struct TcpNode {
   TcpNode() : ex(registry) {
     serve::ServeOptions serve_options;
     serve_options.workers = 2;
-    serve_options.flush_deadline = std::chrono::microseconds(200);
     service.emplace(registry, serve_options);
 
     net::ServerOptions server_options;

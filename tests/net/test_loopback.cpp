@@ -43,7 +43,8 @@ core::FineTuneConfig quick_finetune() {
 /// One pre-trained model + a running server on an ephemeral port.  Pass
 /// DriftOptions to attach a DriftMonitor (the report_run wire path).
 struct Loopback {
-  explicit Loopback(std::optional<serve::DriftOptions> drift = std::nullopt) {
+  explicit Loopback(std::optional<serve::DriftOptions> drift = std::nullopt,
+                    std::size_t max_batch = 8) {
     data::C3OGeneratorConfig gen;
     gen.seed = 61;
     ds = data::C3OGenerator(gen).generate_algorithm("sgd", 4);
@@ -55,8 +56,7 @@ struct Loopback {
     core::pretrain(*model, ds.runs(), pre);
 
     serve::ServeOptions options;
-    options.max_batch = 8;
-    options.flush_deadline = std::chrono::microseconds(200);
+    options.max_batch = max_batch;
     options.workers = 2;
     service.emplace(registry, options);
 
@@ -151,6 +151,29 @@ TEST(Loopback, MultiClientPredictManyIsBitIdenticalToTheLocalModel) {
   EXPECT_LE(m.latency_p50_us, m.latency_p95_us);
   EXPECT_LE(m.latency_p95_us, m.latency_p99_us);
   control.close();
+}
+
+// The server enqueues a predict_many frame's rows in one go, so an idle
+// dispatcher cannot split it: on a fresh handle with max_batch 64, a 60-row
+// sweep runs as exactly one micro-batch.
+TEST(Loopback, PredictManyFrameRunsAsOneMicroBatch) {
+  Loopback loop(std::nullopt, /*max_batch=*/64);
+  const serve::ModelKey key{"sgd", "sweep"};
+  NetClient client;
+  loop.connect(client);
+  ASSERT_TRUE(client.publish(key, *loop.model).ok());
+
+  std::vector<data::JobRun> queries;
+  for (int x = 1; x <= 60; ++x) queries.push_back(loop.query(x));
+  const auto result = client.predict_many(key, queries);
+  ASSERT_TRUE(result.ok()) << result.error_text();
+  EXPECT_EQ(result.value(), loop.model->predict_batch(queries));
+
+  const auto metrics = client.metrics(key);
+  ASSERT_TRUE(metrics.ok()) << metrics.error_text();
+  EXPECT_EQ(metrics.value().batches, 1u);
+  EXPECT_EQ(metrics.value().coalesced_requests, 60u);
+  client.close();
 }
 
 TEST(Loopback, EmptyBatchAndSinglePredictWork) {

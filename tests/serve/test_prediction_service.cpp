@@ -79,7 +79,6 @@ TEST(PredictionService, ConcurrentSoakIsBitIdenticalToSerialLoop) {
   ServeOptions cfg;
   cfg.max_batch = 16;
   cfg.max_queue = 64;
-  cfg.flush_deadline = std::chrono::microseconds(200);
   cfg.workers = 2;
   PredictionService service(registry, cfg);
 
@@ -141,18 +140,13 @@ TEST(PredictionService, CoalescesBurstsIntoFullBatches) {
 
   ServeOptions cfg;
   cfg.max_batch = 16;
-  cfg.flush_deadline = std::chrono::seconds(10);  // only full batches may flush
   cfg.workers = 1;
   PredictionService service(registry, cfg);
 
-  const std::vector<data::JobRun> queries = fx.make_queries(64);
-  std::vector<std::future<ServeResult<double>>> futures;
-  futures.reserve(queries.size());
-  for (const auto& q : queries) futures.push_back(service.predict_async(handle, q));
-  for (auto& f : futures) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error_text();
-  }
+  // predict_many enqueues all 64 rows under one lock hold, so the idle
+  // dispatcher finds them all queued and takes only full batches.
+  const auto served = service.predict_many(handle, fx.make_queries(64));
+  ASSERT_TRUE(served.ok()) << served.error_text();
 
   const ServeMetrics m = service.metrics(handle).unwrap();
   EXPECT_EQ(m.responses, 64u);
@@ -171,7 +165,6 @@ TEST(PredictionService, DeadlineFlushesAPartialBatch) {
 
   ServeOptions cfg;
   cfg.max_batch = 1000;  // a single request can never fill a batch
-  cfg.flush_deadline = std::chrono::milliseconds(5);
   PredictionService service(registry, cfg);
 
   const data::JobRun query = fx.make_queries(1)[0];
@@ -182,7 +175,7 @@ TEST(PredictionService, DeadlineFlushesAPartialBatch) {
   const ServeMetrics m = service.metrics(handle).unwrap();
   EXPECT_EQ(m.batches, 1u);
   EXPECT_EQ(m.deadline_flushes, 1u);
-  EXPECT_EQ(m.coalesced, 0u);           // the flush was deadline-, not size-triggered
+  EXPECT_EQ(m.coalesced, 0u);           // the batch was partial, not full
   EXPECT_EQ(m.coalesced_requests, 0u);  // a batch of one shared nothing
 }
 
@@ -214,7 +207,6 @@ TEST(PredictionService, StopDrainsAcceptedRequestsAndRejectsNewOnes) {
 
   ServeOptions cfg;
   cfg.max_batch = 1000;
-  cfg.flush_deadline = std::chrono::seconds(10);  // parked until stop() drains
   PredictionService service(registry, cfg);
 
   const std::vector<data::JobRun> queries = fx.make_queries(12);
@@ -283,81 +275,34 @@ TEST(PredictionService, ConcurrentPredictOnOneConstModelIsBitIdentical) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
-// Adaptive flush: a trickle lane (inter-arrival far beyond the band) drops
-// to the band FLOOR — waiting longer could never fill a batch, so it answers
-// near-immediately.  The deterministic anchor: sleep_for guarantees a
-// MINIMUM gap, so the EWMA is bounded below and the expected-fill rule's
-// branch is forced.
-TEST(PredictionService, AdaptiveDeadlineDropsToBandFloorForTrickleTraffic) {
+// Work-conserving dispatch: an idle service answers a lone request at once.
+// A dispatcher that held each partial batch for a 500 us flush deadline
+// would need 100 x 500 us on top of the forward passes for these 100
+// sequential calls.  The forward passes are timed on their own and allowed
+// for, so a slow (e.g. sanitized) build does not eat the margin.
+TEST(PredictionService, IdleServiceAnswersSequentialCallsWithoutWaiting) {
   Fixture fx;
   ModelRegistry registry;
-  const ModelHandle handle = registry.publish({"sgd", "trickle"}, *fx.model).unwrap();
+  const ModelHandle handle = registry.publish({"sgd", "idle"}, *fx.model).unwrap();
+  ServeOptions cfg;
+  cfg.max_batch = 64;
+  PredictionService service(registry, cfg);
 
-  ServeOptions opt;
-  opt.max_batch = 16;
-  opt.flush_deadline = std::chrono::microseconds(500);
-  opt.flush_deadline_min = std::chrono::microseconds(200);
-  opt.flush_deadline_max = std::chrono::microseconds(2000);
-  PredictionService service(registry, opt);
+  const std::vector<data::JobRun> queries = fx.make_queries(100);
+  using Clock = std::chrono::steady_clock;
+  const auto forward_start = Clock::now();
+  for (const data::JobRun& query : queries) fx.model->predict_batch({query});
+  const auto forward = Clock::now() - forward_start;
 
-  // Before any traffic the lane does not exist yet: metrics are zeroed.
-  EXPECT_EQ(service.metrics(handle).unwrap().effective_flush_deadline_us, 0u);
+  const auto start = Clock::now();
+  for (const data::JobRun& query : queries) service.predict(handle, query).expect();
+  const auto elapsed = Clock::now() - start;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::microseconds>(elapsed - forward).count(),
+            100 * 500);
 
-  // Trickle: >= 5 ms between requests.  expected_fill = ewma * 15 >> 2 ms
-  // band ceiling, so the effective deadline must sit exactly on the floor.
-  for (int i = 0; i < 4; ++i) {
-    const auto r = service.predict(handle, fx.make_queries(1)[0]);
-    ASSERT_TRUE(r.ok()) << r.error_text();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
   const ServeMetrics m = service.metrics(handle).unwrap();
-  EXPECT_GE(m.interarrival_ewma_us, 5000.0);
-  EXPECT_EQ(m.effective_flush_deadline_us, 200u);
-}
-
-// ...and a lane whose arrival rate CAN fill a batch inside the band gets a
-// deadline proportional to the expected fill time (>= (max_batch-1) * the
-// guaranteed-minimum gap), i.e. it coalesces far more aggressively than the
-// band floor.
-TEST(PredictionService, AdaptiveDeadlineGrowsWithExpectedBatchFillTime) {
-  Fixture fx;
-  ModelRegistry registry;
-  const ModelHandle handle = registry.publish({"sgd", "paced"}, *fx.model).unwrap();
-
-  ServeOptions opt;
-  opt.max_batch = 8;
-  opt.flush_deadline = std::chrono::microseconds(500);
-  opt.flush_deadline_min = std::chrono::microseconds(100);
-  // A band ceiling far above any plausible fill time keeps the expected-fill
-  // branch deterministic even on a machine where sleep_for oversleeps badly.
-  opt.flush_deadline_max = std::chrono::seconds(60);
-  PredictionService service(registry, opt);
-
-  // Async sends with a paced gap: the EWMA must measure the ARRIVAL spacing,
-  // not the serve latency (a blocking loop would feed the flush wait back
-  // into the inter-arrival signal).
-  const std::vector<data::JobRun> queries = fx.make_queries(12);
-  std::vector<std::future<ServeResult<double>>> futures;
-  for (const auto& q : queries) {
-    futures.push_back(service.predict_async(handle, q));
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  for (auto& f : futures) {
-    const auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.error_text();
-  }
-  const ServeMetrics m = service.metrics(handle).unwrap();
-  // Every gap was >= 1 ms, so ewma >= 1000 us and expected fill >= 7000 us.
-  EXPECT_GE(m.interarrival_ewma_us, 1000.0);
-  EXPECT_GE(m.effective_flush_deadline_us, 7000u);
-
-  // QoS weight divides the deadline: doubling the urgency halves it.
-  const std::uint64_t neutral = m.effective_flush_deadline_us;
-  service.set_qos(handle, HandleQos{QosClass::kInteractive, 2.0}).expect();
-  const std::uint64_t urgent =
-      service.metrics(handle).unwrap().effective_flush_deadline_us;
-  EXPECT_LE(urgent, neutral / 2 + 1);
-  EXPECT_GE(urgent, neutral / 2 - 1);
+  EXPECT_EQ(m.batches, queries.size());  // one partial batch per call
+  EXPECT_EQ(m.deadline_flushes, m.batches);
 }
 
 TEST(PredictionService, QosValidationAndIntrospection) {
@@ -389,9 +334,9 @@ TEST(PredictionService, QosValidationAndIntrospection) {
 // traffic must not starve an interactive handle.  The hot handle is created
 // FIRST (lower id), which under the old id-order lane scan made it win every
 // dispatch while its queue was non-empty — the cold handle's latency was
-// unbounded at saturation.  The deadline-ordered dispatcher bounds it: a
-// cold request's virtual deadline expires while hot batches are merely
-// recent, so the cold lane sorts ahead.
+// unbounded at saturation.  The rank-ordered dispatcher bounds it: a cold
+// request's rank stays fixed while the hot lane's front keeps advancing, so
+// the cold lane soon sorts ahead.
 TEST(PredictionService, SaturatedBulkHandleCannotStarveInteractiveHandle) {
   Fixture fx;
   ModelRegistry registry;
@@ -401,7 +346,6 @@ TEST(PredictionService, SaturatedBulkHandleCannotStarveInteractiveHandle) {
   ServeOptions opt;
   opt.max_batch = 16;
   opt.max_queue = 256;
-  opt.flush_deadline = std::chrono::microseconds(500);
   opt.workers = 1;  // a single dispatcher makes the ordering decision visible
   PredictionService service(registry, opt);
   service.set_qos(hot, HandleQos{QosClass::kBulk, 1.0}).expect();
@@ -494,9 +438,6 @@ TEST(PredictionService, MetricsStayConsistentUnderMixedPrioritySoakWithRefitAsyn
   ServeOptions opt;
   opt.max_batch = 8;
   opt.max_queue = 64;
-  opt.flush_deadline = std::chrono::microseconds(300);
-  opt.flush_deadline_min = std::chrono::microseconds(100);
-  opt.flush_deadline_max = std::chrono::microseconds(1500);
   opt.workers = 2;
   PredictionService service(registry, opt);
   service.set_qos(handles[0], HandleQos{QosClass::kInteractive, 4.0}).expect();
@@ -571,7 +512,12 @@ TEST(PredictionService, ManyQueriesMatchLegacyBatchPredictions) {
   Fixture fx;
   ModelRegistry registry;
   const ModelHandle handle = registry.publish({"sgd", "many"}, *fx.model).unwrap();
-  PredictionService service(registry);
+  // A lane far smaller than the call: the rows go in as the dispatcher makes
+  // room, and must still come back in order.
+  ServeOptions cfg;
+  cfg.max_batch = 8;
+  cfg.max_queue = 16;
+  PredictionService service(registry, cfg);
 
   const std::vector<data::JobRun> queries = fx.make_queries(100);
   const auto served = service.predict_many(handle, queries);
@@ -588,7 +534,6 @@ TEST(PredictionService, LatencyPercentilesTrackEveryResponse) {
   const ModelHandle handle = registry.publish({"sgd", "latency"}, *fx.model).unwrap();
   ServeOptions cfg;
   cfg.max_batch = 8;
-  cfg.flush_deadline = std::chrono::microseconds(200);
   PredictionService service(registry, cfg);
 
   const std::vector<data::JobRun> queries = fx.make_queries(120);
@@ -610,27 +555,41 @@ TEST(PredictionService, MaxLagCapsTheEffectiveDeadlineOfADownWeightedLane) {
   const ModelHandle handle = registry.publish({"sgd", "aging"}, *fx.model).unwrap();
   ServeOptions cfg;
   cfg.max_batch = 64;
-  cfg.flush_deadline = std::chrono::microseconds(2000);
   PredictionService service(registry, cfg);
+  // The metric still carries its wire name; it reports the rank slack.
+  auto rank_slack_us = [&] {
+    return service.metrics(handle).unwrap().effective_flush_deadline_us;
+  };
 
-  // Touch the lane so metrics report it, then down-weight it hard: the
-  // weighted deadline would be 2000 / 0.1 = 20000 us.
+  // Before any traffic the lane does not exist yet: metrics are zeroed.
+  EXPECT_EQ(rank_slack_us(), 0u);
+
+  // Touch the lane so metrics report its rank slack: 500 us at weight 1.
   service.predict(handle, fx.make_queries(1).front()).expect();
+  const std::uint64_t neutral = rank_slack_us();
+  EXPECT_EQ(neutral, 500u);
+
+  // QoS weight divides the slack: doubling the urgency halves it.
+  service.set_qos(handle, HandleQos{QosClass::kInteractive, 2.0}).expect();
+  const std::uint64_t urgent = rank_slack_us();
+  EXPECT_LE(urgent, neutral / 2 + 1);
+  EXPECT_GE(urgent, neutral / 2 - 1);
+
+  // Down-weight it hard: the weighted slack would be 500 / 0.1 = 5000 us.
   HandleQos slow;
   slow.qos = QosClass::kBulk;
   slow.weight = 0.1;
   service.set_qos(handle, slow).expect();
-  EXPECT_EQ(service.metrics(handle).unwrap().effective_flush_deadline_us, 20000u);
+  EXPECT_EQ(rank_slack_us(), 5000u);
 
-  // The aging cap bounds it: effective deadline == max_lag, not the
-  // weight-stretched value.
+  // The aging cap bounds it: the slack is max_lag, not the weight-stretched
+  // value.
   slow.max_lag = std::chrono::microseconds(700);
   service.set_qos(handle, slow).expect();
-  EXPECT_EQ(service.metrics(handle).unwrap().effective_flush_deadline_us, 700u);
+  EXPECT_EQ(rank_slack_us(), 700u);
 
-  // And the cap is real scheduling, not just a reported number: a single
-  // request on the capped lane (which can never fill a 64-batch) flushes
-  // within the cap's order of magnitude rather than after 20 ms.
+  // A single request on the capped lane (which can never fill a 64-batch)
+  // is answered at once.
   const auto start = std::chrono::steady_clock::now();
   service.predict(handle, fx.make_queries(1).front()).expect();
   const auto waited = std::chrono::steady_clock::now() - start;
