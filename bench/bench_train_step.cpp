@@ -16,6 +16,12 @@
 // follow the same parameter trajectory, so their final losses must agree to
 // 1e-9; the acceptance floor for the epoch speedup is 4x.
 //
+// Section 3 — fine-tune epoch: the default FineTuneConfig (frozen
+// auto-encoder, z first, f later) on one context of a model pre-trained on
+// the other contexts, with fixed seeds.  Reports µs per epoch (fit time over
+// epochs run, best of several fits from the same checkpoint) and the epochs
+// run; every repeat must run the same epochs to the same state.
+//
 // --json writes the measurements as a small JSON document (CI artifact;
 // scripts/bench-compare.py diffs it against bench/baselines/).
 
@@ -33,6 +39,7 @@
 #include "data/c3o_generator.hpp"
 #include "nn/matrix.hpp"
 #include "nn/optimizer.hpp"
+#include "nn/serialize.hpp"
 #include "parallel/thread_pool.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -209,9 +216,54 @@ EpochResult bench_epochs(const std::vector<data::JobRun>& runs, std::size_t epoc
   return res;
 }
 
+struct FinetuneEpochResult {
+  std::size_t runs = 0;        ///< runs in the fine-tuned context
+  std::size_t epochs_run = 0;  ///< epochs of one fit
+  std::size_t reps = 0;        ///< fits timed
+  double best_fit_s = 0.0;     ///< fastest fit
+  bool repeatable = true;      ///< every repeat ran the same epochs to the same state
+  std::uint64_t stamp = 0;     ///< state_stamp() of the fitted model
+  double epoch_us() const {
+    return best_fit_s * 1e6 / static_cast<double>(std::max<std::size_t>(1, epochs_run));
+  }
+};
+
+// Fine-tune one context, repeatedly, from the same pre-trained checkpoint.
+FinetuneEpochResult bench_finetune_epoch(const data::Dataset& history) {
+  const auto groups = history.contexts();
+  const auto& target = groups.front();
+  core::BellamyModel general(core::BellamyConfig{}, /*seed=*/73);
+  core::PreTrainConfig pre;
+  pre.epochs = 300;
+  core::pretrain(general, history.exclude_context(target.key).runs(), pre);
+  const nn::Checkpoint ckpt = general.to_checkpoint();
+
+  FinetuneEpochResult res;
+  res.runs = target.runs.size();
+  util::Timer total;
+  while (res.reps < 5 || (total.seconds() < 0.5 && res.reps < 200)) {
+    core::BellamyModel model = core::BellamyModel::from_checkpoint(ckpt);
+    util::Timer timer;
+    const core::FineTuneResult fit = core::finetune(model, target.runs, core::FineTuneConfig{});
+    const double seconds = timer.seconds();
+    if (res.reps == 0) {
+      res.epochs_run = fit.epochs_run;
+      res.best_fit_s = seconds;
+      res.stamp = model.state_stamp();
+    } else {
+      res.best_fit_s = std::min(res.best_fit_s, seconds);
+      res.repeatable = res.repeatable && fit.epochs_run == res.epochs_run &&
+                       model.state_stamp() == res.stamp;
+    }
+    ++res.reps;
+  }
+  return res;
+}
+
 void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
                 const std::vector<ThreadedGemmResult>& threaded, const EpochResult& epoch,
-                std::size_t num_runs, std::size_t epochs, std::size_t batch_size) {
+                std::size_t num_runs, std::size_t epochs, std::size_t batch_size,
+                const FinetuneEpochResult& finetune) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
@@ -241,9 +293,16 @@ void write_json(const std::string& path, const std::vector<GemmResult>& gemms,
   std::fprintf(f,
                "  \"pretrain_epoch\": {\"runs\": %zu, \"epochs\": %zu, \"batch_size\": %zu, "
                "\"per_sample_ms\": %.2f, \"batched_ms\": %.2f, \"speedup\": %.2f, "
-               "\"final_loss_diff\": %.3e}\n}\n",
+               "\"final_loss_diff\": %.3e},\n",
                num_runs, epochs, batch_size, epoch.per_sample_s * 1e3, epoch.batched_s * 1e3,
                epoch.speedup(), epoch.loss_diff());
+  std::fprintf(f,
+               "  \"finetune_epoch\": {\"runs\": %zu, \"epochs_run\": %zu, \"reps\": %zu, "
+               "\"epoch_us\": %.2f, \"fit_ms\": %.3f, \"state_stamp\": \"%016llx\", "
+               "\"repeatable\": %s}\n}\n",
+               finetune.runs, finetune.epochs_run, finetune.reps, finetune.epoch_us(),
+               finetune.best_fit_s * 1e3, static_cast<unsigned long long>(finetune.stamp),
+               finetune.repeatable ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", path.c_str());
 }
@@ -326,8 +385,18 @@ int main(int argc, char** argv) {
   const bool losses_match = epoch.loss_diff() <= 1e-9;
   std::printf("losses match to 1e-9: %s\n", losses_match ? "yes" : "NO");
 
+  // ---- Section 3: fine-tune epoch (default FineTuneConfig) ----------------
+  const FinetuneEpochResult finetune = bench_finetune_epoch(history);
+  std::printf("\nfine-tuning: %zu runs, default FineTuneConfig, best of %zu fits\n",
+              finetune.runs, finetune.reps);
+  std::printf("%-28s %12.2f us/epoch (%zu epochs, %.3f ms/fit)\n", "fine-tune epoch",
+              finetune.epoch_us(), finetune.epochs_run, finetune.best_fit_s * 1e3);
+  std::printf("fitted state stamp %016llx; repeat fits identical: %s\n",
+              static_cast<unsigned long long>(finetune.stamp),
+              finetune.repeatable ? "yes" : "NO");
+
   if (!json_path.empty()) {
-    write_json(json_path, gemms, threaded, epoch, runs.size(), epochs, kBatchSize);
+    write_json(json_path, gemms, threaded, epoch, runs.size(), epochs, kBatchSize, finetune);
   }
-  return (losses_match && threaded_identical) ? 0 : 1;
+  return (losses_match && threaded_identical && finetune.repeatable) ? 0 : 1;
 }

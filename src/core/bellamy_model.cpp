@@ -189,6 +189,7 @@ BellamyBatch BellamyModel::gather_batch(const BellamyEncodedRuns& encoded,
   }
   batch.prop_weight.assign(used_rows.size(), 0.0);
   for (const std::size_t row : batch.prop_row) batch.prop_weight[row] += 1.0;
+  batch.source_row = std::move(used_rows);
   return batch;
 }
 
@@ -256,6 +257,13 @@ double BellamyModel::denormalize_target(double network_value) const {
 }
 
 BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
+  BellamyForward fw = forward_pass(batch, training, /*codes=*/nullptr, /*decode=*/true);
+  fw.prop_row = batch.prop_row;
+  return fw;
+}
+
+BellamyForward BellamyModel::forward_pass(const BellamyBatch& batch, bool training,
+                                          const nn::Matrix* codes, bool decode) {
   if (!norm_fitted_) {
     throw std::logic_error("BellamyModel::forward: fit_normalization was never called "
                            "(pre-train or load a checkpoint first)");
@@ -263,11 +271,14 @@ BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
   set_training(training);
 
   BellamyForward fw;
-  fw.prop_row = batch.prop_row;
   const nn::Matrix xs = normalize_scaleout(batch.scaleout_raw);
   const nn::Matrix e = f_.forward(xs);                // (B x F)
-  fw.codes = g_.forward(batch.properties);            // (U x M) unique rows only
-  fw.reconstruction = h_.forward(fw.codes);           // (U x N)
+  if (!codes) {
+    fw.codes = g_.forward(batch.properties);          // (U x M) unique rows only
+    codes = &fw.codes;
+  }
+  if (decode) fw.reconstruction = h_.forward(*codes); // (U x N)
+  const nn::Matrix& c = *codes;
 
   const std::size_t b = batch.batch_size;
   const std::size_t m = config_.num_essential;
@@ -282,12 +293,12 @@ BellamyForward BellamyModel::forward(const BellamyBatch& batch, bool training) {
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t crow = batch.prop_row[i * ppr + p];
       for (std::size_t j = 0; j < M; ++j) {
-        fw.combined(i, F + p * M + j) = fw.codes(crow, j);
+        fw.combined(i, F + p * M + j) = c(crow, j);
       }
     }
     for (std::size_t j = 0; j < M; ++j) {
       double acc = 0.0;
-      for (std::size_t p = 0; p < n; ++p) acc += fw.codes(batch.prop_row[i * ppr + m + p], j);
+      for (std::size_t p = 0; p < n; ++p) acc += c(batch.prop_row[i * ppr + m + p], j);
       fw.combined(i, F + m * M + j) = n ? acc / static_cast<double>(n) : 0.0;
     }
   }
@@ -320,8 +331,27 @@ double BellamyModel::reconstruction_mse(const BellamyForward& fw, const BellamyB
   return total / denom;
 }
 
-BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstruction_weight) {
-  BellamyForward fw = forward(batch, /*training=*/true);
+BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstruction_weight,
+                                     const nn::Matrix* codes) {
+  if (codes) {
+    if (reconstruction_weight > 0.0) {
+      throw std::logic_error(
+          "BellamyModel::train_step: precomputed codes need reconstruction_weight 0");
+    }
+    for (const nn::Parameter* p : g_.parameters()) {
+      if (p->trainable) {
+        throw std::logic_error("BellamyModel::train_step: precomputed codes need a frozen "
+                               "encoder g (" + p->name + " is trainable)");
+      }
+    }
+    if (codes->rows() != batch.num_unique_properties() || codes->cols() != config_.code_dim) {
+      throw std::invalid_argument("BellamyModel::train_step: codes " + codes->shape_str() +
+                                  " do not match the batch's unique property rows");
+    }
+  }
+  // Without codes the decoder runs as it always has; with them the frozen
+  // auto-encoder is out of the step entirely.
+  BellamyForward fw = forward_pass(batch, /*training=*/true, codes, /*decode=*/!codes);
 
   const nn::Matrix targets_norm =
       batch.targets_raw.apply([this](double v) { return normalize_target(v); });
@@ -344,14 +374,22 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
   const std::size_t F = config_.scaleout_out;
   const std::size_t ppr = config_.props_per_sample();
 
-  // Split grad_combined into the scale-out part and the code parts.  A
-  // unique property row that serves several stacked slots receives the SUM
-  // of their gradients (its code fed all of them), accumulated in
-  // slot order — the dedup-aware equivalent of the stacked scatter.
   nn::Matrix grad_e(b, F);
-  nn::Matrix grad_codes(batch.num_unique_properties(), M, 0.0);
   for (std::size_t i = 0; i < b; ++i) {
     for (std::size_t j = 0; j < F; ++j) grad_e(i, j) = grad_combined(i, j);
+  }
+  f_.backward(grad_e);
+  if (codes) {  // the codes are constants: nothing flows into g
+    loss.total = loss.huber;
+    return loss;
+  }
+
+  // Split the code parts off grad_combined.  A unique property row that
+  // serves several stacked slots receives the SUM of their gradients (its
+  // code fed all of them), accumulated in slot order — the dedup-aware
+  // equivalent of the stacked scatter.
+  nn::Matrix grad_codes(batch.num_unique_properties(), M, 0.0);
+  for (std::size_t i = 0; i < b; ++i) {
     for (std::size_t p = 0; p < m; ++p) {
       const std::size_t crow = batch.prop_row[i * ppr + p];
       for (std::size_t j = 0; j < M; ++j) {
@@ -365,8 +403,6 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
       }
     }
   }
-
-  f_.backward(grad_e);
 
   if (reconstruction_weight > 0.0) {
     nn::Matrix grad_recon;
@@ -382,7 +418,9 @@ BellamyLoss BellamyModel::train_step(const BellamyBatch& batch, double reconstru
 }
 
 BellamyLoss BellamyModel::evaluate(const BellamyBatch& batch, double reconstruction_weight) {
-  BellamyForward fw = forward(batch, /*training=*/false);
+  // The decoder output only feeds the reconstruction term.
+  const BellamyForward fw = forward_pass(batch, /*training=*/false, /*codes=*/nullptr,
+                                         /*decode=*/reconstruction_weight > 0.0);
   const nn::Matrix targets_norm =
       batch.targets_raw.apply([this](double v) { return normalize_target(v); });
   BellamyLoss loss;

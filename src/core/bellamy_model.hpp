@@ -70,6 +70,10 @@ struct BellamyBatch {
   nn::Matrix targets_raw;    ///< (B x 1) runtimes in seconds
   std::vector<std::size_t> prop_row;  ///< (B*(m+n)) stacked slot -> row in properties
   std::vector<double> prop_weight;    ///< (U) multiplicity of each unique row
+  /// (U) row of the encoded set each unique row was gathered from, so values
+  /// computed once per encoded set (the frozen encoder's codes) can be
+  /// gathered per batch.
+  std::vector<std::size_t> source_row;
   std::size_t batch_size = 0;
 
   std::size_t num_unique_properties() const { return properties.rows(); }
@@ -148,10 +152,20 @@ class BellamyModel {
   BellamyForward forward(const BellamyBatch& batch, bool training);
 
   /// Forward + joint loss + backward (gradients accumulate into parameters).
-  /// reconstruction_weight 0 disables the auto-encoder path (fine-tuning).
-  BellamyLoss train_step(const BellamyBatch& batch, double reconstruction_weight);
+  /// reconstruction_weight 0 drops the reconstruction term (fine-tuning).
+  ///
+  /// `codes` optionally supplies the encoder's output for the batch's unique
+  /// property rows (U x M, e.g. g().infer(batch.properties)).  A frozen
+  /// auto-encoder makes the codes a constant of the fit, so fine-tuning
+  /// computes them once and each step then runs only f and z: no encoder or
+  /// decoder forward pass and no backward pass into g.  Supplying codes
+  /// while g has a trainable parameter or reconstruction_weight > 0 throws
+  /// std::logic_error (the step would silently drop those gradients).
+  BellamyLoss train_step(const BellamyBatch& batch, double reconstruction_weight,
+                         const nn::Matrix* codes = nullptr);
 
-  /// Loss evaluation without gradients (dropout off).
+  /// Loss evaluation without gradients (dropout off).  The decoder h runs
+  /// only when reconstruction_weight > 0.
   BellamyLoss evaluate(const BellamyBatch& batch, double reconstruction_weight);
 
   /// Predict runtimes in seconds (eval mode) for a whole batch in a single
@@ -226,6 +240,12 @@ class BellamyModel {
   double normalize_target(double seconds) const;
   double denormalize_target(double network_value) const;
   std::vector<double> predict_batch_serial(const std::vector<data::JobRun>& runs) const;
+  /// The forward pass behind forward/train_step/evaluate.  With `codes` the
+  /// encoder g is skipped and fw.codes stays empty; with !decode the decoder
+  /// h is skipped and fw.reconstruction stays empty.  fw.prop_row is left
+  /// empty.
+  BellamyForward forward_pass(const BellamyBatch& batch, bool training,
+                              const nn::Matrix* codes, bool decode);
   /// Weighted (by row multiplicity) reconstruction MSE over the batch's
   /// unique property rows — equal to the MSE over the stacked matrix.  Fills
   /// `grad` (U x N) with d(mse)/d(reconstruction) when non-null.

@@ -101,6 +101,11 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
   // for best-state tracking (per-step losses cover different subsets).
   const BellamyBatch batch = model.make_batch(runs);
 
+  // With the auto-encoder frozen, g's output is a constant of the fit: both
+  // loops compute the property codes once (g().infer equals the
+  // training-mode forward at dropout 0) and every step runs only f and z.
+  const bool frozen_autoencoder = !config.train_autoencoder;
+
   FineTuneResult result;
   double best_mae = model.evaluate(batch, recon_weight).mae_seconds;
   auto best_state = model.snapshot_parameters();
@@ -117,6 +122,9 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
 
   if (!minibatch) {
     // The paper's full-batch loop, bit-identical to pre-mini-batch builds.
+    const nn::Matrix codes =
+        frozen_autoencoder ? model.g().infer(batch.properties) : nn::Matrix();
+    const nn::Matrix* step_codes = frozen_autoencoder ? &codes : nullptr;
     for (std::size_t epoch = 0; epoch < config.max_epochs; ++epoch) {
       if (epoch == unlock_after && unlock_after > 0) {
         model.f().set_trainable(true);
@@ -125,7 +133,7 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
       optimizer.zero_grad();
       // train_step reports the loss of the *current* parameters, so the best
       // state must be snapshotted before the optimizer mutates them.
-      const BellamyLoss loss = model.train_step(batch, recon_weight);
+      const BellamyLoss loss = model.train_step(batch, recon_weight, step_codes);
       if (loss.mae_seconds < best_mae) {
         best_mae = loss.mae_seconds;
         best_state = model.snapshot_parameters();
@@ -142,7 +150,11 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
   } else {
     // Opt-in mini-batch loop: the same encode-once/gather path pretrain
     // uses, seeded shuffles per epoch, one optimizer step per mini-batch.
+    // A frozen encoder's codes are computed once over the encoded set and
+    // gathered per mini-batch.
     const BellamyEncodedRuns encoded = model.encode_runs(runs);
+    const nn::Matrix encoded_codes =
+        frozen_autoencoder ? model.g().infer(encoded.properties) : nn::Matrix();
     BellamyGatherCache gather_cache;
     util::Rng rng(config.seed);
     std::vector<std::size_t> order(runs.size());
@@ -159,7 +171,9 @@ FineTuneResult finetune(BellamyModel& model, const std::vector<data::JobRun>& ru
         const std::span<const std::size_t> indices(order.data() + begin, end - begin);
         optimizer.zero_grad();
         const BellamyBatch mini = model.gather_batch(encoded, indices, &gather_cache);
-        model.train_step(mini, recon_weight);
+        const nn::Matrix mini_codes =
+            frozen_autoencoder ? encoded_codes.gather_rows(mini.source_row) : nn::Matrix();
+        model.train_step(mini, recon_weight, frozen_autoencoder ? &mini_codes : nullptr);
         optimizer.step();
       }
       // Best-state tracking on the POST-step parameters over the full batch

@@ -107,16 +107,43 @@ TEST(Finetune, PatienceStopsTraining) {
   EXPECT_FALSE(result.reached_target);
 }
 
+std::vector<nn::Matrix> values(nn::Sequential& component) {
+  std::vector<nn::Matrix> out;
+  for (const nn::Parameter* p : component.parameters()) out.push_back(p->value);
+  return out;
+}
+
 TEST(Finetune, FreezePolicyKeepsAutoencoderFixed) {
+  // Every g and h value stays bit-equal: the default fit steps only f and z.
   const auto corpus = tiny_corpus();
   BellamyModel model(BellamyConfig{}, 8);
   pretrain(model, corpus.runs(), fast_pretrain());
-  const auto g_before = model.g().parameters()[0]->value;
-  const auto h_before = model.h().parameters()[0]->value;
+  const auto g_before = values(model.g());
+  const auto h_before = values(model.h());
+  const auto z_before = values(model.z());
   const auto group = corpus.contexts().front();
-  finetune(model, group.runs, fast_finetune());
-  EXPECT_EQ(model.g().parameters()[0]->value, g_before);
-  EXPECT_EQ(model.h().parameters()[0]->value, h_before);
+  const auto result = finetune(model, group.runs, fast_finetune());
+  EXPECT_GT(result.epochs_run, 0u);
+  EXPECT_EQ(values(model.g()), g_before);
+  EXPECT_EQ(values(model.h()), h_before);
+  EXPECT_NE(values(model.z()), z_before);  // the fit did move the model
+}
+
+TEST(Finetune, TrainAutoencoderMovesIt) {
+  // The opt-in joint fine-tune keeps the general step (g and h forward and
+  // backward every epoch) covered.
+  const auto corpus = tiny_corpus();
+  BellamyModel model(BellamyConfig{}, 8);
+  pretrain(model, corpus.runs(), fast_pretrain());
+  const auto g_before = values(model.g());
+  const auto h_before = values(model.h());
+  FineTuneConfig cfg = fast_finetune();
+  cfg.train_autoencoder = true;
+  cfg.mae_target_seconds = 0.0;  // unreachable: the restored best state is a late one
+  cfg.max_epochs = 50;
+  finetune(model, corpus.contexts().front().runs, cfg);
+  EXPECT_NE(values(model.g()), g_before);
+  EXPECT_NE(values(model.h()), h_before);
 }
 
 TEST(Finetune, FreezesFInitiallyThenUnlocks) {
